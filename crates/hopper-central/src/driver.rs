@@ -245,9 +245,10 @@ struct Central<'a> {
     last_now: SimTime,
     /// Scratch for the Hopper launch loop (reused across dispatches):
     /// `(job, target, hold)` rows in priority order + eligible row
-    /// indices.
+    /// indices + the `(job, hold)` rows of the pre-warm pass.
     rows_scratch: Vec<(usize, usize, usize)>,
     elig_scratch: Vec<u32>,
+    holds_scratch: Vec<(usize, usize)>,
     /// Cluster-wide running original copies (BudgetedSrpt's cap input).
     orig_running: usize,
     /// Machine speed/availability state; `None` when dynamics are off
@@ -324,6 +325,7 @@ impl<'a> Central<'a> {
             last_now: SimTime::ZERO,
             rows_scratch: Vec::new(),
             elig_scratch: Vec::new(),
+            holds_scratch: Vec::new(),
             orig_running: 0,
             dynamics,
             rng: seq.child_rng(0xD00D),
@@ -1095,12 +1097,11 @@ impl<'a> Central<'a> {
         // Pre-warm held slots: bind idle slots to their holders now so the
         // anticipated speculative copy starts without the hand-off cost —
         // the physical payoff of reservation (Figure 2).
-        for &(j, _, hold) in &rows {
-            let have = self.machines.warm_total(j);
-            if hold > have {
-                self.machines.bind_idle(j, hold - have);
-            }
-        }
+        let mut holds = std::mem::take(&mut self.holds_scratch);
+        holds.clear();
+        holds.extend(rows.iter().map(|&(j, _, hold)| (j, hold)));
+        self.machines.prewarm(&holds);
+        self.holds_scratch = holds;
         self.rows_scratch = rows;
         self.elig_scratch = elig;
         launched_any

@@ -128,6 +128,13 @@ impl MachineSet {
         self.scan(0, self.words.first().copied().unwrap_or(0))
     }
 
+    /// Smallest member `>= m`, if any.
+    fn next_from(&self, m: usize) -> Option<usize> {
+        let wi = m / 64;
+        let cur = self.words.get(wi)? & (!0u64 << (m % 64));
+        self.scan(wi, cur)
+    }
+
     fn scan(&self, mut wi: usize, mut cur: u64) -> Option<usize> {
         loop {
             if cur != 0 {
@@ -260,15 +267,40 @@ impl WarmCounts {
         c
     }
 
-    /// Entries in ascending job order (debug-oracle reconciliation).
-    #[cfg(debug_assertions)]
-    fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.e.iter().copied()
+    /// Entries in ascending job order.
+    fn entries(&self) -> &[(usize, usize)] {
+        &self.e
     }
 
     fn take(&mut self) -> Vec<(usize, usize)> {
         std::mem::take(&mut self.e)
     }
+}
+
+/// One segment of the pre-warm overlay (see [`Machines::prewarm`]), over
+/// *positions*: indices into [`PrewarmScratch::machines`], the bound
+/// machines the pass has reached, in ascending machine id.
+#[derive(Debug, Clone, Copy)]
+enum Seg {
+    /// Positions `[lo, hi)`: every free slot is warm for `job`.
+    Run { job: usize, lo: usize, hi: usize },
+    /// Position `at`: warm counts `arena[lo..hi]`, ascending job id.
+    Split { at: usize, lo: usize, hi: usize },
+}
+
+/// Scratch of [`Machines::prewarm`], kept across dispatches so a pass
+/// allocates nothing once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+struct PrewarmScratch {
+    /// Bound machines reached so far, ascending id.
+    machines: Vec<usize>,
+    /// `pre[i]` = free slots on `machines[..i]` (`pre[0] = 0`).
+    pre: Vec<usize>,
+    /// The overlay over positions `[0, machines.len())`, contiguous and
+    /// ascending from the top of the stack (the last element) down.
+    segs: Vec<Seg>,
+    /// Warm counts of the `Seg::Split` machines.
+    arena: Vec<(usize, usize)>,
 }
 
 /// Dynamic slot occupancy across machines, with per-job slot affinity.
@@ -320,6 +352,8 @@ pub struct Machines {
     /// free, unbound, or bound slots, so every index skips it naturally;
     /// the flag guards against accidental occupy/release while down.
     down: Vec<bool>,
+    /// Reused buffers of [`Machines::prewarm`].
+    scratch: PrewarmScratch,
 }
 
 impl Machines {
@@ -344,6 +378,7 @@ impl Machines {
             warm_totals: Vec::new(),
             total_bound: 0,
             down: vec![false; cfg.machines],
+            scratch: PrewarmScratch::default(),
         }
     }
 
@@ -551,7 +586,7 @@ impl Machines {
         let mut warm_machines: Vec<Vec<usize>> = vec![Vec::new(); jobs];
         let mut warm_totals: Vec<usize> = vec![0; jobs];
         for (m, b) in self.bound.iter().enumerate() {
-            for (job, c) in b.iter() {
+            for &(job, c) in b.entries() {
                 assert!(c > 0, "zero-count bound entry survived");
                 assert!(job < jobs, "bound entry beyond the dense job index");
                 warm_machines[job].push(m);
@@ -574,7 +609,7 @@ impl Machines {
         );
         assert_eq!(warm_totals, self.warm_totals, "warm_totals drifted");
         for m in 0..self.free.len() {
-            let bound_sum: usize = self.bound[m].iter().map(|(_, c)| c).sum();
+            let bound_sum: usize = self.bound[m].entries().iter().map(|&(_, c)| c).sum();
             assert_eq!(
                 self.free[m],
                 self.unbound[m] + bound_sum,
@@ -606,6 +641,16 @@ impl Machines {
     /// Free slots on `m` already bound to `job`.
     pub fn warm_on(&self, m: MachineId, job: usize) -> usize {
         self.bound[m.0].get(job)
+    }
+
+    /// Free slots on `m` bound to no job.
+    pub fn unbound_on(&self, m: MachineId) -> usize {
+        self.unbound[m.0]
+    }
+
+    /// Warm `(job, count)` entries on `m`, ascending job id.
+    pub fn warm_entries(&self, m: MachineId) -> &[(usize, usize)] {
+        self.bound[m.0].entries()
     }
 
     /// Total free slots bound to `job` across the cluster. O(1).
@@ -664,25 +709,12 @@ impl Machines {
     ///
     /// Both passes walk machines in ascending id, exactly like the O(M)
     /// scans they replace — but only over machines that actually hold an
-    /// unbound (pass 1) or foreign-warm (pass 2) slot.
+    /// unbound (pass 1) or foreign-warm (pass 2) slot. This is the
+    /// one-job reference semantics of [`Machines::prewarm`], which the
+    /// simulator drives instead; dev builds check the two against each
+    /// other on every pass.
     pub fn bind_idle(&mut self, job: usize, want: usize) -> usize {
-        let mut bound = 0;
-        // Pass 1: unbound slots, smallest machine first. Draining the set
-        // head either consumes the machine's last unbound slot (removing
-        // it from the set) or satisfies `want`, so this makes progress
-        // every step without materializing the whole set.
-        while bound < want {
-            let Some(m) = self.unbound_set.first() else {
-                break;
-            };
-            let take = (want - bound).min(self.unbound[m]);
-            self.unbound[m] -= take;
-            if self.unbound[m] == 0 {
-                self.unbound_set.remove(m);
-            }
-            self.bound_inc_by(m, job, take);
-            bound += take;
-        }
+        let mut bound = self.bind_unbound(job, want);
         // Pass 2: steal from other jobs' warm slots (ascending machine,
         // smallest victim job id first on each machine). `foreign` bounds
         // the walk: once every remaining warm slot belongs to `job`
@@ -727,6 +759,292 @@ impl Machines {
         #[cfg(debug_assertions)]
         self.debug_check_index();
         bound
+    }
+
+    /// Pass 1 of [`Machines::bind_idle`]: bind up to `want` unbound slots
+    /// to `job`, smallest machine first; returns how many. Draining the
+    /// set head either consumes the machine's last unbound slot (removing
+    /// it from the set) or satisfies `want`, so this makes progress every
+    /// step without materializing the whole set.
+    fn bind_unbound(&mut self, job: usize, want: usize) -> usize {
+        let mut bound = 0;
+        while bound < want {
+            let Some(m) = self.unbound_set.first() else {
+                break;
+            };
+            let take = (want - bound).min(self.unbound[m]);
+            self.unbound[m] -= take;
+            if self.unbound[m] == 0 {
+                self.unbound_set.remove(m);
+            }
+            self.bound_inc_by(m, job, take);
+            bound += take;
+        }
+        bound
+    }
+
+    /// Pre-warm pass: for each `(job, hold)` row in order, top the job's
+    /// warm total up to `hold` — exactly
+    /// `bind_idle(job, hold − warm_total(job))` per row with a positive
+    /// difference, in one batched walk.
+    ///
+    /// Unbound slots go first and are bound in place (pass 1). Once they
+    /// run out, every free slot is warm for some job, and a row's steal
+    /// takes *every* foreign warm slot on a prefix of the bound machines
+    /// and splits at most one machine, the one where its want runs out.
+    /// The pass therefore keeps an overlay instead of touching machines:
+    /// a stack of runs (positions whose free slots all belong to one job)
+    /// and split machines, growing from the lowest machine id. A row pops
+    /// the overlay from the left, finds its last machine in a run by
+    /// binary search over prefix sums of free slots, charges each victim
+    /// job from those sums, and pushes back one run of its own plus at
+    /// most one split and one remainder. Rows mostly steal back what the
+    /// row before them took, so only the machines whose final warm
+    /// counts differ from the start of the pass are written at the end.
+    pub fn prewarm(&mut self, rows: &[(usize, usize)]) {
+        #[cfg(debug_assertions)]
+        let reference = {
+            let mut r = self.clone();
+            for &(job, hold) in rows {
+                let have = r.warm_total(job);
+                if hold > have {
+                    r.bind_idle(job, hold - have);
+                }
+            }
+            r
+        };
+        let mut s = std::mem::take(&mut self.scratch);
+        s.machines.clear();
+        s.pre.clear();
+        s.pre.push(0);
+        s.segs.clear();
+        s.arena.clear();
+        for &(job, hold) in rows {
+            let have = self.warm_totals.get(job).copied().unwrap_or(0);
+            if hold <= have {
+                continue;
+            }
+            let want = hold - have;
+            let unbound = self.bind_unbound(job, want);
+            if unbound < want {
+                self.claim(&mut s, job, want - unbound);
+            }
+        }
+        self.write_back(&s);
+        self.scratch = s;
+        #[cfg(debug_assertions)]
+        {
+            self.debug_check_index();
+            self.assert_same_layout(&reference);
+        }
+    }
+
+    /// One row's steal over the overlay: give `job` up to `want` slots
+    /// warm for other jobs, ascending machine id and smallest victim id
+    /// first on each machine (pass 2 of [`Machines::bind_idle`]). Only
+    /// `warm_totals` is updated; the machines wait for
+    /// [`Machines::write_back`].
+    fn claim(&mut self, s: &mut PrewarmScratch, job: usize, want: usize) {
+        debug_assert!(
+            self.unbound_set.first().is_none(),
+            "steal with unbound slots left"
+        );
+        let mut got = 0;
+        // Positions [0, end) now hold only `job`'s warmth.
+        let mut end = 0;
+        while got < want {
+            let seg = match s.segs.pop() {
+                Some(seg) => seg,
+                None => {
+                    // The overlay is used up: reach the next bound machine
+                    // with its current counts.
+                    let Some(m) = self
+                        .bound_set
+                        .next_from(s.machines.last().map_or(0, |&m| m + 1))
+                    else {
+                        break;
+                    };
+                    let at = s.machines.len();
+                    s.machines.push(m);
+                    s.pre.push(s.pre[at] + self.free[m]);
+                    let lo = s.arena.len();
+                    s.arena.extend_from_slice(self.bound[m].entries());
+                    Seg::Split {
+                        at,
+                        lo,
+                        hi: s.arena.len(),
+                    }
+                }
+            };
+            match seg {
+                Seg::Run { job: k, lo, hi } if k != job => {
+                    let avail = s.pre[hi] - s.pre[lo];
+                    if got + avail <= want {
+                        got += avail;
+                        self.warm_totals[k] -= avail;
+                        end = hi;
+                        continue;
+                    }
+                    // The want runs out inside the run: positions before
+                    // `at` go whole, `at` gives up `taken` of its slots.
+                    let need = want - got;
+                    let at = lo + s.pre[lo + 1..=hi].partition_point(|&p| p - s.pre[lo] < need);
+                    let taken = need - (s.pre[at] - s.pre[lo]);
+                    let cap = s.pre[at + 1] - s.pre[at];
+                    self.warm_totals[k] -= need;
+                    got = want;
+                    if at + 1 < hi {
+                        s.segs.push(Seg::Run {
+                            job: k,
+                            lo: at + 1,
+                            hi,
+                        });
+                    }
+                    if taken == cap {
+                        end = at + 1;
+                    } else {
+                        let lo = s.arena.len();
+                        let (a, b) = ((job, taken), (k, cap - taken));
+                        s.arena
+                            .extend_from_slice(&if job < k { [a, b] } else { [b, a] });
+                        s.segs.push(Seg::Split { at, lo, hi: lo + 2 });
+                        end = at;
+                    }
+                }
+                Seg::Run { hi, .. } => end = hi,
+                Seg::Split { at, lo, hi } => {
+                    let cap = s.pre[at + 1] - s.pre[at];
+                    let mine = s.arena[lo..hi]
+                        .iter()
+                        .find(|&&(j, _)| j == job)
+                        .map_or(0, |&(_, c)| c);
+                    if got + cap - mine <= want {
+                        for &(k, c) in &s.arena[lo..hi] {
+                            if k != job {
+                                self.warm_totals[k] -= c;
+                            }
+                        }
+                        got += cap - mine;
+                        end = at + 1;
+                        continue;
+                    }
+                    // Partial steal, smallest victim first; the new counts
+                    // go to the arena in ascending job order.
+                    let stolen = want - got;
+                    let mut need = stolen;
+                    let new_lo = s.arena.len();
+                    let mut placed = false;
+                    for e in lo..hi {
+                        let (k, c) = s.arena[e];
+                        if !placed && k >= job {
+                            s.arena.push((job, mine + stolen));
+                            placed = true;
+                        }
+                        if k == job {
+                            continue;
+                        }
+                        let t = need.min(c);
+                        need -= t;
+                        self.warm_totals[k] -= t;
+                        if c > t {
+                            s.arena.push((k, c - t));
+                        }
+                    }
+                    if !placed {
+                        s.arena.push((job, mine + stolen));
+                    }
+                    got = want;
+                    s.segs.push(Seg::Split {
+                        at,
+                        lo: new_lo,
+                        hi: s.arena.len(),
+                    });
+                    end = at;
+                }
+            }
+        }
+        if got > 0 {
+            self.ensure_job(job);
+            self.warm_totals[job] += got;
+        }
+        if end > 0 {
+            s.segs.push(Seg::Run {
+                job,
+                lo: 0,
+                hi: end,
+            });
+        }
+    }
+
+    /// Apply the overlay to the machines it reached, writing only those
+    /// whose warm counts changed over the pass. Warm totals are already
+    /// final, and every reached machine stays bound (its free slots just
+    /// changed hands), so `bound_set` and `total_bound` hold too.
+    fn write_back(&mut self, s: &PrewarmScratch) {
+        for &seg in &s.segs {
+            match seg {
+                Seg::Run { job, lo, hi } => {
+                    for at in lo..hi {
+                        let cap = s.pre[at + 1] - s.pre[at];
+                        self.set_warm(s.machines[at], &[(job, cap)]);
+                    }
+                }
+                Seg::Split { at, lo, hi } => self.set_warm(s.machines[at], &s.arena[lo..hi]),
+            }
+        }
+    }
+
+    /// Replace `m`'s warm counts (same free total, ascending job id) and
+    /// re-derive its index memberships; a no-op when nothing changed.
+    fn set_warm(&mut self, m: usize, counts: &[(usize, usize)]) {
+        let old = &self.bound[m].e;
+        if old.as_slice() == counts {
+            return;
+        }
+        for &(k, _) in old {
+            if !counts.iter().any(|&(j, _)| j == k) {
+                self.warm_machines[k].remove(m);
+            }
+        }
+        for &(k, _) in counts {
+            if !old.iter().any(|&(j, _)| j == k) {
+                self.warm_machines[k].insert_grow(m);
+            }
+        }
+        let e = &mut self.bound[m].e;
+        e.clear();
+        e.extend_from_slice(counts);
+        self.refresh_multi(m);
+    }
+
+    /// Dev-build shadow check of [`Machines::prewarm`]: every machine's
+    /// warm counts and unbound count, and every job's warm total, must
+    /// match the per-row `bind_idle` replay on a clone.
+    #[cfg(debug_assertions)]
+    fn assert_same_layout(&self, reference: &Machines) {
+        for m in 0..self.len() {
+            assert_eq!(
+                self.bound[m].entries(),
+                reference.bound[m].entries(),
+                "prewarm drifted from bind_idle: warm counts on machine {m}"
+            );
+            assert_eq!(
+                self.unbound[m], reference.unbound[m],
+                "prewarm drifted from bind_idle: unbound slots on machine {m}"
+            );
+        }
+        let jobs = self.warm_totals.len().max(reference.warm_totals.len());
+        for job in 0..jobs {
+            assert_eq!(
+                self.warm_totals.get(job).copied().unwrap_or(0),
+                reference.warm_totals.get(job).copied().unwrap_or(0),
+                "prewarm drifted from bind_idle: warm total of job {job}"
+            );
+        }
+        assert_eq!(
+            self.total_bound, reference.total_bound,
+            "total_bound drifted"
+        );
     }
 
     /// Iterate machines that currently have at least one free slot, in

@@ -22,15 +22,24 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct BetaEstimator {
     window: VecDeque<f64>,
+    /// `ln(x / x_min)` for every window sample, in window order, against
+    /// the current window minimum. Rebuilt in full only when the minimum
+    /// changes (a new smallest sample arrives, or the old one is evicted),
+    /// so each sample pays its `ln()` once instead of on every read.
+    logs: VecDeque<f64>,
+    /// Sliding-window minimum: `(sequence number, value)` pairs with
+    /// non-decreasing values; the front is the window minimum and leaves
+    /// when its sample is evicted.
+    min_deque: VecDeque<(u64, f64)>,
     capacity: usize,
     min_samples: usize,
     prior: f64,
     total_observed: u64,
     /// Memoized MLE of the current window; invalidated by `observe`. The
     /// estimate is a pure function of the window, so serving the cached
-    /// value between observations is exact — and it turns the scheduler's
-    /// per-job, per-dispatch β reads from O(window) `ln()` sweeps into
-    /// O(1) loads (the single hottest scalar read in both drivers).
+    /// value between observations is exact. A read after an observation
+    /// costs one O(window) sum of the cached logs (additions only, no
+    /// `ln()`); every other read is an O(1) load.
     cached: std::cell::Cell<Option<f64>>,
 }
 
@@ -43,6 +52,10 @@ impl BetaEstimator {
         assert!(capacity >= min_samples && min_samples >= 2);
         BetaEstimator {
             window: VecDeque::with_capacity(capacity),
+            logs: VecDeque::with_capacity(capacity),
+            // Holds only the window's running minima (a handful on a
+            // random stream), so it grows on demand.
+            min_deque: VecDeque::new(),
             capacity,
             min_samples,
             prior,
@@ -63,12 +76,35 @@ impl BetaEstimator {
         if !(multiplier.is_finite() && multiplier > 0.0) {
             return; // defensive: ignore garbage observations
         }
+        let old_min = self.x_min();
         if self.window.len() == self.capacity {
             self.window.pop_front();
+            self.logs.pop_front();
+            let evicted = self.total_observed - self.capacity as u64;
+            if self.min_deque.front().is_some_and(|&(s, _)| s == evicted) {
+                self.min_deque.pop_front();
+            }
         }
+        while self.min_deque.back().is_some_and(|&(_, v)| v > multiplier) {
+            self.min_deque.pop_back();
+        }
+        self.min_deque.push_back((self.total_observed, multiplier));
         self.window.push_back(multiplier);
+        let x_min = self.x_min();
+        if x_min.to_bits() == old_min.to_bits() {
+            self.logs.push_back((multiplier / x_min).ln());
+        } else {
+            self.logs.clear();
+            self.logs
+                .extend(self.window.iter().map(|x| (x / x_min).ln()));
+        }
         self.total_observed += 1;
         self.cached.set(None);
+    }
+
+    /// Current window minimum (+∞ on an empty window).
+    fn x_min(&self) -> f64 {
+        self.min_deque.front().map_or(f64::INFINITY, |&(_, v)| v)
     }
 
     /// Number of observations ever made.
@@ -78,10 +114,11 @@ impl BetaEstimator {
 
     /// Current β estimate.
     ///
-    /// MLE for Pareto: with x_min taken as the window minimum,
-    /// `β̂ = n / Σ ln(x_i / x_min)`, clamped into (1, 2] ∪ … — we clamp to
-    /// `[1.05, 4.0]` so downstream math (2/β, mean factors) stays sane even
-    /// on degenerate windows.
+    /// Pareto MLE with x_min taken as the window minimum and the standard
+    /// small-sample correction: `β̂ = (n − 2) / Σ ln(x_i / x_min)`, clamped
+    /// to `[1.05, 4.0]` so downstream math (2/β, mean factors) stays sane
+    /// even on degenerate windows. The prior is served below `min_samples`
+    /// observations and when every sample is identical.
     pub fn beta(&self) -> f64 {
         if let Some(v) = self.cached.get() {
             return v;
@@ -91,16 +128,19 @@ impl BetaEstimator {
         v
     }
 
-    /// The full-window MLE (memoized by [`BetaEstimator::beta`]).
+    /// The full-window MLE (memoized by [`BetaEstimator::beta`]). Sums the
+    /// cached logs front to back — the order and the per-sample values of
+    /// a fresh `Σ (x / x_min).ln()` over the window, so the result is
+    /// bit-identical to that re-sum.
     fn compute_beta(&self) -> f64 {
         if self.window.len() < self.min_samples {
             return self.prior;
         }
-        let x_min = self.window.iter().copied().fold(f64::INFINITY, f64::min);
+        let x_min = self.x_min();
         if !(x_min.is_finite() && x_min > 0.0) {
             return self.prior;
         }
-        let log_sum: f64 = self.window.iter().map(|x| (x / x_min).ln()).sum();
+        let log_sum: f64 = self.logs.iter().sum();
         if log_sum <= 0.0 {
             return self.prior; // all samples identical: no tail information
         }
@@ -319,6 +359,65 @@ mod tests {
             est.observe(1.0 + (i as f64) * 1e-9);
         }
         assert!(est.beta() <= 4.0);
+    }
+
+    /// The O(window) re-sum the cached logs replace: fold the window
+    /// minimum, then sum `ln(x / x_min)` front to back.
+    fn resum_beta(window: &VecDeque<f64>, prior: f64, min_samples: usize) -> f64 {
+        if window.len() < min_samples {
+            return prior;
+        }
+        let x_min = window.iter().copied().fold(f64::INFINITY, f64::min);
+        let log_sum: f64 = window.iter().map(|x| (x / x_min).ln()).sum();
+        if log_sum <= 0.0 {
+            return prior;
+        }
+        ((window.len() as f64 - 2.0) / log_sum).clamp(1.05, 4.0)
+    }
+
+    #[test]
+    fn cached_log_beta_matches_resum_bit_for_bit() {
+        for (capacity, min_samples) in [(2, 2), (20, 2), (20, 20), (2000, 20)] {
+            for seed in 0..6u64 {
+                let mut rng = rng_from_seed(1000 + seed);
+                let mut est = BetaEstimator::new(1.5, capacity, min_samples);
+                let mut window = VecDeque::new();
+                // Few distinct levels: ties at the minimum, and a minimum
+                // that keeps getting evicted and replaced by an equal or
+                // larger value.
+                let levels = [0.5, 1.0, 1.0, 2.0, 3.5];
+                // A slow downward drift makes fresh minima common.
+                let mut drift = 1.0;
+                for i in 0..(3 * capacity + 500) {
+                    let x = match rng.gen_range(0..10u32) {
+                        0 => [f64::NAN, -1.0, 0.0, f64::INFINITY][i % 4],
+                        1..=3 => levels[rng.gen_range(0..levels.len())],
+                        4 => {
+                            drift *= 0.97;
+                            drift
+                        }
+                        _ => {
+                            let u: f64 = 1.0 - rng.gen::<f64>();
+                            u.powf(-1.0 / 1.3)
+                        }
+                    };
+                    est.observe(x);
+                    if x.is_finite() && x > 0.0 {
+                        if window.len() == capacity {
+                            window.pop_front();
+                        }
+                        window.push_back(x);
+                    }
+                    let want = resum_beta(&window, 1.5, min_samples);
+                    assert_eq!(
+                        est.beta().to_bits(),
+                        want.to_bits(),
+                        "capacity {capacity} seed {seed} step {i}: {} vs {want}",
+                        est.beta()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

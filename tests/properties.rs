@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) on the core invariants.
 
+use hopper::cluster::{ClusterConfig, MachineId, Machines};
 use hopper::core::{allocate, AllocConfig, FreeSlotEpisode, JobDemand, Reservation, WorkerAction};
 use hopper::metrics::percentile;
 use hopper::sim::{rng_from_seed, EventQueue, SimTime};
 use hopper::workload::Dist;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn demand_strategy() -> impl Strategy<Value = JobDemand> {
     (
@@ -226,6 +228,102 @@ proptest! {
             ep.record_refusal(scheduler, job, None);
             steps += 1;
             prop_assert!(steps <= threshold + 4, "episode exceeded its bound");
+        }
+    }
+
+    /// The batched pre-warm pass leaves exactly the layout of the per-row
+    /// `bind_idle` loop it replaces, pass after pass, on layouts built by
+    /// random occupy/release/failure/bind histories: multi-job machines,
+    /// leftover unbound slots, zero holds and already-met holds.
+    #[test]
+    fn prewarm_matches_sequential_bind_idle(
+        slots in 1usize..9,
+        machines in 1usize..40,
+        jobs in 1usize..10,
+        seed in 0u64..1_000_000,
+    ) {
+        let cfg = ClusterConfig { machines, slots_per_machine: slots, ..Default::default() };
+        let mut fast = Machines::new(&cfg);
+        let mut slow = Machines::new(&cfg);
+        let mut rng = rng_from_seed(seed);
+        let total = machines * slots;
+        // Running copies per (machine, job), to release what was occupied.
+        let mut running: Vec<(usize, usize)> = Vec::new();
+        for _ in 0..6 {
+            for _ in 0..rng.gen_range(0..3 * total + 1) {
+                let m = rng.gen_range(0..machines);
+                let job = rng.gen_range(0..jobs);
+                match rng.gen_range(0..10u32) {
+                    0..=3 if !fast.is_down(MachineId(m)) && fast.free_on(MachineId(m)) > 0 => {
+                        prop_assert_eq!(
+                            fast.occupy_for(MachineId(m), job),
+                            slow.occupy_for(MachineId(m), job)
+                        );
+                        running.push((m, job));
+                    }
+                    4..=6 if !running.is_empty() => {
+                        let (m, job) = running.swap_remove(rng.gen_range(0..running.len()));
+                        fast.release_to(MachineId(m), job);
+                        slow.release_to(MachineId(m), job);
+                    }
+                    7 if rng.gen_range(0..4u32) == 0 => {
+                        if fast.is_down(MachineId(m)) {
+                            fast.set_up(MachineId(m));
+                            slow.set_up(MachineId(m));
+                        } else {
+                            fast.set_down(MachineId(m));
+                            slow.set_down(MachineId(m));
+                            running.retain(|&(rm, _)| rm != m);
+                        }
+                    }
+                    8 => {
+                        let want = rng.gen_range(0..slots + 2);
+                        prop_assert_eq!(fast.bind_idle(job, want), slow.bind_idle(job, want));
+                    }
+                    _ => {}
+                }
+            }
+            // Rows as the driver builds them (distinct jobs) plus, now and
+            // then, a repeated job; holds of zero, already met, or beyond
+            // every free slot.
+            let mut rows: Vec<(usize, usize)> = Vec::new();
+            for job in 0..jobs {
+                if rng.gen_range(0..4u32) == 0 {
+                    continue;
+                }
+                let have = slow.warm_total(job);
+                let hold = match rng.gen_range(0..5u32) {
+                    0 => 0,
+                    1 => have,
+                    2 => have.saturating_sub(1),
+                    _ => rng.gen_range(0..total + 3),
+                };
+                rows.push((job, hold));
+            }
+            if !rows.is_empty() && rng.gen_range(0..3u32) == 0 {
+                let dup = rows[rng.gen_range(0..rows.len())].0;
+                rows.push((dup, rng.gen_range(0..total + 3)));
+            }
+            // Shuffle: the driver's priority order is not job-id order.
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.gen_range(0..i + 1));
+            }
+            fast.prewarm(&rows);
+            for &(job, hold) in &rows {
+                let have = slow.warm_total(job);
+                if hold > have {
+                    slow.bind_idle(job, hold - have);
+                }
+            }
+            for m in 0..machines {
+                let m = MachineId(m);
+                prop_assert_eq!(fast.warm_entries(m), slow.warm_entries(m), "machine {}", m.0);
+                prop_assert_eq!(fast.unbound_on(m), slow.unbound_on(m), "machine {}", m.0);
+                prop_assert_eq!(fast.free_on(m), slow.free_on(m));
+            }
+            for job in 0..jobs {
+                prop_assert_eq!(fast.warm_total(job), slow.warm_total(job), "job {}", job);
+            }
         }
     }
 }

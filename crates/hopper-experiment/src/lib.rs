@@ -29,7 +29,7 @@ pub mod stability;
 pub mod sweep;
 
 pub use engine::{CentralEngine, DecentralEngine, Engine, RunSummary};
-pub use spec::{EngineKind, ExperimentSpec, SpecError};
+pub use spec::{Domain, EngineKind, ExperimentSpec, KeySpec, SpecError, Sweepable, KEYS};
 pub use stability::{
     find_frontier, frontier_csv, frontier_grid, probe, saturated, FrontierConfig, FrontierResult,
 };

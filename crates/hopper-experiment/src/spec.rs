@@ -3,10 +3,17 @@
 //! A spec names everything a trial needs — workload source, cluster
 //! shape, engine + policy, utilization, seed list — and round-trips
 //! through a plain `key=value` text form (one pair per line, `#`
-//! comments). The keys map 1:1 onto `hopper` CLI flags, so a spec file
-//! and a command line describe the same thing; [`ExperimentSpec::set`]
-//! is the single dispatch both go through, and the sweep axis reuses it
-//! to vary one key across a grid.
+//! comments).
+//!
+//! **The spec-key table.** [`KEYS`] has one row per key: its name, its
+//! [`Domain`], whether it may be a sweep axis ([`Sweepable`]), and the
+//! engines on which it may leave its default. Everything per key derives
+//! from the table: [`ExperimentSpec::set`] (the single dispatch the text
+//! parser, the CLI and the sweep axis go through), `render`, the
+//! unknown-key diagnostic, the range checks in `validate`, the `hopper`
+//! CLI flags (`--foo-bar V` sets `foo_bar=V`, [`KeySpec::flag`]) with
+//! their usage text, and the sweep-axis rejections. Rules that relate
+//! several keys stay hand-written in [`ExperimentSpec::validate`].
 //!
 //! Round-trip contract (pinned by tests): `parse(render(parse(text)))`
 //! equals `parse(text)`, and unknown keys are rejected with an error
@@ -61,63 +68,344 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
-/// Canonical key order — `render` emits exactly these, `KNOWN_KEYS`
-/// powers the unknown-key diagnostic.
-const KNOWN_KEYS: &[&str] = &[
-    "engine",
-    "policy",
-    "workload",
-    "interactive",
-    "single_phase",
-    "fixed_dag_len",
-    "fixed_beta",
-    "fixed_tasks",
-    "learn_beta",
-    "realloc_drift",
-    "jobs",
-    "max_jobs",
-    "stream",
-    "rate_profile",
-    "rate_period_ms",
-    "burst_rate",
-    "burst_mult",
-    "burst_len_ms",
-    "replay",
-    "machines",
-    "slots",
-    "handoff_ms",
-    "util",
-    "eps",
-    "scan_ms",
-    "spec_min_elapsed_ms",
-    "probe_ratio",
-    "refusals",
-    "schedulers",
-    "hetero",
-    "slow_frac",
-    "slow_factor",
-    "hetero_sigma",
-    "slowdown_rate",
-    "fail_rate",
-    "mttr_ms",
-    "msg_loss",
-    "msg_jitter_ms",
-    "msg_dup",
-    "sched_fail_rate",
-    "sched_mttr_ms",
-    "rpc_timeout_ms",
-    "rpc_retries",
-    "shards",
-    "telemetry_window_ms",
-    "seeds",
-];
+/// Upper bound of `shards`: each shard is one OS thread of its own per
+/// trial, so the key must not be able to ask for thousands. CI and the
+/// `fig_shard` bench use at most 4.
+pub const MAX_SHARDS: u64 = 64;
+
+/// The values a spec key accepts. [`ExperimentSpec::set`] parses a value
+/// through its key's domain, and [`ExperimentSpec::validate`] checks
+/// every field against it, so a field mutated directly is checked too.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Domain {
+    /// A bool, spelled by its `[true, false]` words (`true|false` or
+    /// `on|off`).
+    Bool([&'static str; 2]),
+    /// An integer in `[lo, hi]`; `hi == u64::MAX` leaves it unbounded.
+    Int { lo: u64, hi: u64 },
+    /// A finite float in `[lo, hi]`, or in `(lo, hi]` when `lo_open`;
+    /// `hi == f64::INFINITY` leaves it unbounded.
+    Float { lo: f64, lo_open: bool, hi: f64 },
+    /// One of the listed names.
+    Enum(&'static [&'static str]),
+    /// A non-empty file path.
+    Path,
+    /// `none`, or a value of the inner domain.
+    Opt(&'static Domain),
+    /// A non-empty comma-separated list of seeds.
+    Seeds,
+}
+
+/// Whether a key may be a sweep axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweepable {
+    /// Any value list is a valid axis.
+    Yes,
+    /// Not an axis; the message says why.
+    No(&'static str),
+}
+
+/// One spec key: one row of [`KEYS`].
+pub struct KeySpec {
+    /// The `key=value` name; the CLI flag is derived from it
+    /// ([`KeySpec::flag`]).
+    pub name: &'static str,
+    /// The values the key accepts.
+    pub domain: Domain,
+    /// Whether the key may be a sweep axis.
+    pub sweepable: Sweepable,
+    /// The engines on which the key may leave its default; every other
+    /// engine accepts only its own default value.
+    pub engines: &'static [EngineKind],
+    get: fn(&ExperimentSpec) -> &dyn Field,
+    get_mut: fn(&mut ExperimentSpec) -> &mut dyn Field,
+}
+
+impl KeySpec {
+    /// The row named `name`, or the unknown-key diagnostic listing every
+    /// key.
+    pub fn find(name: &str) -> Result<&'static KeySpec, SpecError> {
+        KEYS.iter().find(|k| k.name == name).ok_or_else(|| {
+            let known: Vec<&str> = KEYS.iter().map(|k| k.name).collect();
+            err(format!(
+                "unknown key `{name}`; known keys: {}",
+                known.join(", ")
+            ))
+        })
+    }
+
+    /// The CLI flag: `--foo-bar V` sets `foo_bar=V`.
+    pub fn flag(&self) -> String {
+        format!("--{}", self.name.replace('_', "-"))
+    }
+
+    /// The key's value in `spec`, spelled as in `key=value`.
+    pub fn value(&self, spec: &ExperimentSpec) -> String {
+        self.domain.render((self.get)(spec).text())
+    }
+}
+
+/// Builds [`KEYS`], one `field "key" domain, sweepable, engines;` row per
+/// key; the field accessors are generated from the field name.
+macro_rules! key_table {
+    ($($field:ident $name:literal $domain:expr, $sweepable:expr, $engines:expr;)*) => {
+        &[$(KeySpec {
+            name: $name,
+            domain: $domain,
+            sweepable: $sweepable,
+            engines: $engines,
+            get: |s| &s.$field,
+            get_mut: |s| &mut s.$field,
+        }),*]
+    };
+}
+
+const BOTH: &[EngineKind] = &[EngineKind::Central, EngineKind::Decentral];
+const DECENTRAL: &[EngineKind] = &[EngineKind::Decentral];
+const BOOL: Domain = Domain::Bool(["true", "false"]);
+const MAX: u64 = u64::MAX;
+const INF: f64 = f64::INFINITY;
+
+const fn int(lo: u64, hi: u64) -> Domain {
+    Domain::Int { lo, hi }
+}
+
+/// Floats in `[lo, hi]`.
+const fn from(lo: f64, hi: f64) -> Domain {
+    Domain::Float {
+        lo,
+        lo_open: false,
+        hi,
+    }
+}
+
+/// Floats in `(lo, hi]`.
+const fn above(lo: f64, hi: f64) -> Domain {
+    Domain::Float {
+        lo,
+        lo_open: true,
+        hi,
+    }
+}
+
+// `set("engine", ..)` flips only the enum; each engine's defaults are
+// picked by `parse`, so an engine axis would compare unlike with unlike.
+const ENGINE_AXIS: &str = "`engine` cannot be a sweep axis (each engine has its own defaults); \
+                           run one sweep per engine";
+// Observer invariant: the window never changes the simulation.
+const TELEMETRY_AXIS: &str = "`telemetry_window_ms` cannot be a sweep axis: it only changes \
+                              what is observed, never the simulation — every value would \
+                              produce identical rows. Set telemetry_window_ms= on the spec \
+                              instead";
+const SEEDS_AXIS: &str = "`seeds` is the implicit inner grid dimension; sweep a different key";
+
+const POLICIES: Domain = Domain::Enum(&[
+    "fifo",
+    "fair",
+    "srpt",
+    "budgeted",
+    "hopper",
+    "sparrow",
+    "sparrow-srpt",
+]);
+const ENGINE: Domain = Domain::Enum(&["central", "decentral"]);
+const HETERO: Domain = Domain::Enum(&["off", "uniform", "bimodal", "lognormal"]);
+
+/// Every spec key, in the canonical order `render` emits. Adding a key
+/// means adding its field, its default, and one row here. Rules that
+/// relate several keys stay in [`ExperimentSpec::validate`].
+pub const KEYS: &[KeySpec] = {
+    use Domain::{Bool, Enum, Opt, Path, Seeds};
+    use Sweepable::{No, Yes};
+    key_table! {
+        engine              "engine"              ENGINE, No(ENGINE_AXIS), BOTH;
+        policy              "policy"              POLICIES,                        Yes, BOTH;
+        workload            "workload"            Enum(&["facebook", "bing"]),     Yes, BOTH;
+        interactive         "interactive"         BOOL,                            Yes, BOTH;
+        single_phase        "single_phase"        BOOL,                            Yes, BOTH;
+        fixed_dag_len       "fixed_dag_len"       Opt(&int(1, MAX)),               Yes, BOTH;
+        // The paper's Pareto model: β > 1 (a finite mean).
+        fixed_beta          "fixed_beta"          Opt(&above(1.0, INF)),           Yes, BOTH;
+        fixed_tasks         "fixed_tasks"         Opt(&int(1, MAX)),               Yes, BOTH;
+        learn_beta          "learn_beta"          BOOL,                            Yes, BOTH;
+        realloc_drift       "realloc_drift"       from(0.0, INF),                  Yes, BOTH;
+        jobs                "jobs"                int(1, MAX),                     Yes, BOTH;
+        max_jobs            "max_jobs"            Opt(&int(1, MAX)),               Yes, BOTH;
+        stream              "stream"              Bool(["on", "off"]),             Yes, BOTH;
+        rate_profile        "rate_profile"        Enum(&["constant", "diurnal"]),  Yes, BOTH;
+        rate_period_ms      "rate_period_ms"      int(0, MAX),                     Yes, BOTH;
+        burst_rate          "burst_rate"          from(0.0, INF),                  Yes, BOTH;
+        // Inert while burst_rate=0; with bursts on, `rate().check()` requires >= 1.
+        burst_mult          "burst_mult"          above(0.0, INF),                 Yes, BOTH;
+        burst_len_ms        "burst_len_ms"        int(0, MAX),                     Yes, BOTH;
+        replay              "replay"              Opt(&Path),                      Yes, BOTH;
+        machines            "machines"            int(1, MAX),                     Yes, BOTH;
+        slots               "slots"               int(1, MAX),                     Yes, BOTH;
+        handoff_ms          "handoff_ms"          int(0, MAX),                     Yes, BOTH;
+        util                "util"                above(0.0, 1.5),                 Yes, BOTH;
+        eps                 "eps"                 from(0.0, 1.0),                  Yes, BOTH;
+        // A zero period would rescan at one instant forever.
+        scan_ms             "scan_ms"             Opt(&int(1, MAX)),               Yes, BOTH;
+        spec_min_elapsed_ms "spec_min_elapsed_ms" Opt(&int(0, MAX)),               Yes, BOTH;
+        probe_ratio         "probe_ratio"         above(0.0, INF),                 Yes, BOTH;
+        refusals            "refusals"            int(0, MAX),                     Yes, BOTH;
+        schedulers          "schedulers"          int(1, MAX),                     Yes, BOTH;
+        hetero              "hetero"              HETERO,                          Yes, BOTH;
+        slow_frac           "slow_frac"           from(0.0, 1.0),                  Yes, BOTH;
+        slow_factor         "slow_factor"         above(0.0, 1.0),                 Yes, BOTH;
+        hetero_sigma        "hetero_sigma"        from(0.0, INF),                  Yes, BOTH;
+        slowdown_rate       "slowdown_rate"       from(0.0, INF),                  Yes, BOTH;
+        fail_rate           "fail_rate"           from(0.0, INF),                  Yes, BOTH;
+        mttr_ms             "mttr_ms"             int(0, MAX),                     Yes, BOTH;
+        // The central engine has no RPC plane and no sharded driver.
+        msg_loss            "msg_loss"            from(0.0, 1.0),                  Yes, DECENTRAL;
+        msg_jitter_ms       "msg_jitter_ms"       int(0, MAX),                     Yes, DECENTRAL;
+        msg_dup             "msg_dup"             from(0.0, 1.0),                  Yes, DECENTRAL;
+        sched_fail_rate     "sched_fail_rate"     from(0.0, INF),                  Yes, DECENTRAL;
+        sched_mttr_ms       "sched_mttr_ms"       int(0, MAX),                     Yes, BOTH;
+        rpc_timeout_ms      "rpc_timeout_ms"      int(1, MAX),                     Yes, BOTH;
+        rpc_retries         "rpc_retries"         int(1, u32::MAX as u64),         Yes, BOTH;
+        shards              "shards"              int(0, MAX_SHARDS),              Yes, DECENTRAL;
+        telemetry_window_ms "telemetry_window_ms" int(0, MAX), No(TELEMETRY_AXIS), BOTH;
+        seeds               "seeds"               Seeds, No(SEEDS_AXIS), BOTH;
+    }
+};
+
+/// A spec field as the key table sees it: its value as text. The text of
+/// a bool is `true|false`, of an empty option `none`, of a seed list the
+/// comma-joined seeds; [`Domain::render`] turns it into the key's spelling.
+trait Field {
+    fn text(&self) -> String;
+    /// Store `text`, which the key's domain has already checked.
+    fn load(&mut self, text: &str);
+}
+
+macro_rules! text_field {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn text(&self) -> String {
+                self.to_string()
+            }
+            fn load(&mut self, text: &str) {
+                *self = text.parse().expect("the key's domain checked the text");
+            }
+        }
+    )*};
+}
+
+text_field!(bool, u32, u64, usize, f64, String);
+
+impl<T: Field + Default> Field for Option<T> {
+    fn text(&self) -> String {
+        self.as_ref().map_or("none".into(), Field::text)
+    }
+    fn load(&mut self, text: &str) {
+        *self = (text != "none").then(|| {
+            let mut value = T::default();
+            value.load(text);
+            value
+        });
+    }
+}
+
+impl Field for Vec<u64> {
+    fn text(&self) -> String {
+        let seeds: Vec<String> = self.iter().map(u64::to_string).collect();
+        seeds.join(",")
+    }
+    fn load(&mut self, text: &str) {
+        *self = text
+            .split(',')
+            .map(|s| s.trim().parse().expect("checked seed"))
+            .collect();
+    }
+}
+
+impl Field for EngineKind {
+    fn text(&self) -> String {
+        self.as_str().into()
+    }
+    fn load(&mut self, text: &str) {
+        *self = match text {
+            "central" => EngineKind::Central,
+            _ => EngineKind::Decentral,
+        };
+    }
+}
+
+impl Domain {
+    /// Check `text` against this domain and return it as the field
+    /// stores it (a bool's words become `true`/`false`).
+    fn check(&self, key: &str, text: &str) -> Result<String, SpecError> {
+        let unparsable = || err(format!("could not parse {key}=`{text}`"));
+        let inside = match self {
+            Domain::Opt(_) if text == "none" => true,
+            Domain::Opt(inner) => return inner.check(key, text),
+            Domain::Bool(words) => match words.iter().position(|w| *w == text) {
+                Some(i) => return Ok((i == 0).to_string()),
+                None => false,
+            },
+            Domain::Int { lo, hi } => {
+                let n: u64 = text.parse().map_err(|_| unparsable())?;
+                *lo <= n && n <= *hi
+            }
+            Domain::Float { lo, lo_open, hi } => {
+                let x: f64 = text.parse().map_err(|_| unparsable())?;
+                x.is_finite() && x <= *hi && (x > *lo || (!lo_open && x == *lo))
+            }
+            Domain::Enum(names) => names.contains(&text),
+            Domain::Path => !text.is_empty(),
+            Domain::Seeds => {
+                if !text.split(',').all(|s| s.trim().parse::<u64>().is_ok()) {
+                    return Err(unparsable());
+                }
+                true
+            }
+        };
+        if inside {
+            Ok(text.to_string())
+        } else {
+            Err(err(format!(
+                "{key} must be {}, got `{text}`",
+                self.describe()
+            )))
+        }
+    }
+
+    /// A field's text, spelled as the key's value.
+    fn render(&self, text: String) -> String {
+        match self {
+            Domain::Bool(words) => words[usize::from(text == "false")].to_string(),
+            _ => text,
+        }
+    }
+
+    /// The domain in words, as error messages and the CLI usage show it.
+    pub fn describe(&self) -> String {
+        match self {
+            Domain::Bool(words) => words.join("|"),
+            Domain::Int { lo, hi: MAX } => format!(">= {lo}"),
+            Domain::Int { lo, hi } => format!("in [{lo}, {hi}]"),
+            Domain::Float { lo, lo_open, hi } if hi.is_infinite() => {
+                format!("finite and {} {lo}", if *lo_open { ">" } else { ">=" })
+            }
+            Domain::Float { lo, lo_open, hi } => {
+                format!("in {}{lo}, {hi}]", if *lo_open { "(" } else { "[" })
+            }
+            Domain::Enum(names) => names.join("|"),
+            Domain::Path => "a file path".into(),
+            Domain::Opt(inner) => format!("none or {}", inner.describe()),
+            Domain::Seeds => "a comma-separated seed list".into(),
+        }
+    }
+}
 
 /// A complete description of one experiment cell.
 ///
-/// Every field maps 1:1 onto a `key=value` pair (and a CLI flag). The
-/// workload source is profile-generated; to run an explicit in-memory
-/// trace, build the [`Engine`] via [`ExperimentSpec::engine`] and call
-/// [`Engine::run`] on it directly.
+/// Every field maps 1:1 onto a `key=value` pair (a row of [`KEYS`], and
+/// a CLI flag). The workload source is profile-generated; to run an
+/// explicit in-memory trace, build the [`Engine`] via
+/// [`ExperimentSpec::engine`] and call [`Engine::run`] on it directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Simulator family (`engine=central|decentral`).
@@ -131,9 +419,10 @@ pub struct ExperimentSpec {
     pub interactive: bool,
     /// Force single-phase jobs.
     pub single_phase: bool,
-    /// Force every DAG to exactly this many phases.
+    /// Force every DAG to exactly this many phases (at least 1).
     pub fixed_dag_len: Option<usize>,
-    /// Pin every job's Pareto tail index β.
+    /// Pin every job's Pareto tail index β (> 1: the paper's Pareto
+    /// model has a finite mean).
     pub fixed_beta: Option<f64>,
     /// Pin every job's input-phase task count, removing the heavy-tailed
     /// job-size dimension (`fixed_tasks=none|N`). With `single_phase`
@@ -202,7 +491,8 @@ pub struct ExperimentSpec {
     pub util: f64,
     /// Fairness ε.
     pub eps: f64,
-    /// Straggler-scan period override (ms); engine default when `None`.
+    /// Straggler-scan period override (ms, at least 1); engine default
+    /// when `None`.
     pub scan_ms: Option<u64>,
     /// LATE warm-up override (ms); engine default when `None`.
     pub spec_min_elapsed_ms: Option<u64>,
@@ -210,7 +500,7 @@ pub struct ExperimentSpec {
     pub probe_ratio: f64,
     /// Decentralized refusal threshold.
     pub refusals: usize,
-    /// Number of autonomous schedulers (decentralized).
+    /// Number of autonomous schedulers (decentralized; at least 1).
     pub schedulers: usize,
     /// Machine-speed heterogeneity profile
     /// (`hetero=off|uniform|bimodal|lognormal`). `off` — the default —
@@ -255,7 +545,8 @@ pub struct ExperimentSpec {
     /// Execution shards for the decentralized conservative-PDES engine
     /// (`shards=0` — the default — is the serial driver; any `N >= 1`
     /// runs the sharded engine, bit-identical for every such `N`).
-    /// Decentralized-only: the central engine rejects `shards > 0`.
+    /// Decentralized-only: the central engine rejects `shards > 0`. At
+    /// most [`MAX_SHARDS`].
     pub shards: usize,
     /// Telemetry window width in ms (`telemetry_window_ms=0` — the
     /// default — disables collection entirely and is bit-identical to a
@@ -335,9 +626,18 @@ impl ExperimentSpec {
         }
     }
 
-    /// Set one field by its `key=value` spelling. The single dispatch
-    /// shared by the text parser, the CLI flag mapping, and the sweep
-    /// axis.
+    /// The defaults of `engine`: [`ExperimentSpec::central`] or
+    /// [`ExperimentSpec::decentral`].
+    fn defaults(engine: EngineKind) -> Self {
+        match engine {
+            EngineKind::Central => ExperimentSpec::central(),
+            EngineKind::Decentral => ExperimentSpec::decentral(),
+        }
+    }
+
+    /// Set one field by its `key=value` spelling, checked against the
+    /// key's [`Domain`]. The single dispatch shared by the text parser,
+    /// the CLI flags, and the sweep axis.
     ///
     /// Note that `set("engine", ..)` flips only the engine selector —
     /// it does not re-base the other fields onto that engine's
@@ -346,82 +646,9 @@ impl ExperimentSpec {
     /// the sweep runner rejects `engine` as an axis for the same
     /// reason.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
-        match key {
-            "engine" => {
-                self.engine = match value {
-                    "central" => EngineKind::Central,
-                    "decentral" => EngineKind::Decentral,
-                    other => {
-                        return Err(err(format!(
-                            "engine must be central|decentral, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "policy" => self.policy = value.to_string(),
-            "workload" => self.workload = value.to_string(),
-            "interactive" => self.interactive = parse_bool(key, value)?,
-            "single_phase" => self.single_phase = parse_bool(key, value)?,
-            "fixed_dag_len" => self.fixed_dag_len = parse_opt(key, value)?,
-            "fixed_beta" => self.fixed_beta = parse_opt(key, value)?,
-            "fixed_tasks" => self.fixed_tasks = parse_opt(key, value)?,
-            "learn_beta" => self.learn_beta = parse_bool(key, value)?,
-            "realloc_drift" => self.realloc_drift = parse_num(key, value)?,
-            "jobs" => self.jobs = parse_num(key, value)?,
-            "max_jobs" => self.max_jobs = parse_opt(key, value)?,
-            "stream" => {
-                self.stream = match value {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(err(format!("stream must be on|off, got `{other}`"))),
-                }
-            }
-            "rate_profile" => self.rate_profile = value.to_string(),
-            "rate_period_ms" => self.rate_period_ms = parse_num(key, value)?,
-            "burst_rate" => self.burst_rate = parse_num(key, value)?,
-            "burst_mult" => self.burst_mult = parse_num(key, value)?,
-            "burst_len_ms" => self.burst_len_ms = parse_num(key, value)?,
-            "replay" => self.replay = parse_opt(key, value)?,
-            "machines" => self.machines = parse_num(key, value)?,
-            "slots" => self.slots = parse_num(key, value)?,
-            "handoff_ms" => self.handoff_ms = parse_num(key, value)?,
-            "util" => self.util = parse_num(key, value)?,
-            "eps" => self.eps = parse_num(key, value)?,
-            "scan_ms" => self.scan_ms = parse_opt(key, value)?,
-            "spec_min_elapsed_ms" => self.spec_min_elapsed_ms = parse_opt(key, value)?,
-            "probe_ratio" => self.probe_ratio = parse_num(key, value)?,
-            "refusals" => self.refusals = parse_num(key, value)?,
-            "schedulers" => self.schedulers = parse_num(key, value)?,
-            "hetero" => self.hetero = value.to_string(),
-            "slow_frac" => self.slow_frac = parse_num(key, value)?,
-            "slow_factor" => self.slow_factor = parse_num(key, value)?,
-            "hetero_sigma" => self.hetero_sigma = parse_num(key, value)?,
-            "slowdown_rate" => self.slowdown_rate = parse_num(key, value)?,
-            "fail_rate" => self.fail_rate = parse_num(key, value)?,
-            "mttr_ms" => self.mttr_ms = parse_num(key, value)?,
-            "msg_loss" => self.msg_loss = parse_num(key, value)?,
-            "msg_jitter_ms" => self.msg_jitter_ms = parse_num(key, value)?,
-            "msg_dup" => self.msg_dup = parse_num(key, value)?,
-            "sched_fail_rate" => self.sched_fail_rate = parse_num(key, value)?,
-            "sched_mttr_ms" => self.sched_mttr_ms = parse_num(key, value)?,
-            "rpc_timeout_ms" => self.rpc_timeout_ms = parse_num(key, value)?,
-            "rpc_retries" => self.rpc_retries = parse_num(key, value)?,
-            "shards" => self.shards = parse_num(key, value)?,
-            "telemetry_window_ms" => self.telemetry_window_ms = parse_num(key, value)?,
-            "seeds" => {
-                let seeds: Result<Vec<u64>, _> = value
-                    .split(',')
-                    .map(|s| parse_num::<u64>("seeds", s.trim()))
-                    .collect();
-                self.seeds = seeds?;
-            }
-            unknown => {
-                return Err(err(format!(
-                    "unknown key `{unknown}`; known keys: {}",
-                    KNOWN_KEYS.join(", ")
-                )))
-            }
-        }
+        let row = KeySpec::find(key)?;
+        let text = row.domain.check(key, value)?;
+        (row.get_mut)(self).load(&text);
         Ok(())
     }
 
@@ -430,8 +657,13 @@ impl ExperimentSpec {
     /// — picks the defaults the remaining pairs refine, so a spec file
     /// only needs to name what deviates.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
+        ExperimentSpec::parse_on(EngineKind::Central, text)
+    }
+
+    /// [`ExperimentSpec::parse`], starting from `engine`'s defaults when
+    /// the text names no engine.
+    pub fn parse_on(mut engine: EngineKind, text: &str) -> Result<Self, SpecError> {
         let mut pairs: Vec<(usize, &str, &str)> = Vec::new();
-        let mut engine = EngineKind::Central;
         for (i, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -455,10 +687,7 @@ impl ExperimentSpec {
                 pairs.push((i + 1, key, value));
             }
         }
-        let mut spec = match engine {
-            EngineKind::Central => ExperimentSpec::central(),
-            EngineKind::Decentral => ExperimentSpec::decentral(),
-        };
+        let mut spec = ExperimentSpec::defaults(engine);
         for (line, key, value) in pairs {
             spec.set(key, value)
                 .map_err(|e| err(format!("line {line}: {}", e.0)))?;
@@ -467,210 +696,59 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
-    /// Render the canonical text form: every key, fixed order, one per
-    /// line. `parse(render(spec))` reproduces `spec` exactly.
+    /// Render the canonical text form: every key of [`KEYS`], in table
+    /// order, one per line. `parse(render(spec))` reproduces `spec`
+    /// exactly.
     pub fn render(&self) -> String {
-        let opt_u64 = |v: &Option<u64>| v.map_or("none".to_string(), |x| x.to_string());
-        let mut out = String::new();
-        for key in KNOWN_KEYS {
-            let value = match *key {
-                "engine" => self.engine.as_str().to_string(),
-                "policy" => self.policy.clone(),
-                "workload" => self.workload.clone(),
-                "interactive" => self.interactive.to_string(),
-                "single_phase" => self.single_phase.to_string(),
-                "fixed_dag_len" => self
-                    .fixed_dag_len
-                    .map_or("none".to_string(), |x| x.to_string()),
-                "fixed_beta" => self
-                    .fixed_beta
-                    .map_or("none".to_string(), |x| x.to_string()),
-                "fixed_tasks" => self
-                    .fixed_tasks
-                    .map_or("none".to_string(), |x| x.to_string()),
-                "learn_beta" => self.learn_beta.to_string(),
-                "realloc_drift" => self.realloc_drift.to_string(),
-                "jobs" => self.jobs.to_string(),
-                "max_jobs" => self.max_jobs.map_or("none".to_string(), |x| x.to_string()),
-                "stream" => if self.stream { "on" } else { "off" }.to_string(),
-                "rate_profile" => self.rate_profile.clone(),
-                "rate_period_ms" => self.rate_period_ms.to_string(),
-                "burst_rate" => self.burst_rate.to_string(),
-                "burst_mult" => self.burst_mult.to_string(),
-                "burst_len_ms" => self.burst_len_ms.to_string(),
-                "replay" => self.replay.clone().unwrap_or_else(|| "none".to_string()),
-                "machines" => self.machines.to_string(),
-                "slots" => self.slots.to_string(),
-                "handoff_ms" => self.handoff_ms.to_string(),
-                "util" => self.util.to_string(),
-                "eps" => self.eps.to_string(),
-                "scan_ms" => opt_u64(&self.scan_ms),
-                "spec_min_elapsed_ms" => opt_u64(&self.spec_min_elapsed_ms),
-                "probe_ratio" => self.probe_ratio.to_string(),
-                "refusals" => self.refusals.to_string(),
-                "schedulers" => self.schedulers.to_string(),
-                "hetero" => self.hetero.clone(),
-                "slow_frac" => self.slow_frac.to_string(),
-                "slow_factor" => self.slow_factor.to_string(),
-                "hetero_sigma" => self.hetero_sigma.to_string(),
-                "slowdown_rate" => self.slowdown_rate.to_string(),
-                "fail_rate" => self.fail_rate.to_string(),
-                "mttr_ms" => self.mttr_ms.to_string(),
-                "msg_loss" => self.msg_loss.to_string(),
-                "msg_jitter_ms" => self.msg_jitter_ms.to_string(),
-                "msg_dup" => self.msg_dup.to_string(),
-                "sched_fail_rate" => self.sched_fail_rate.to_string(),
-                "sched_mttr_ms" => self.sched_mttr_ms.to_string(),
-                "rpc_timeout_ms" => self.rpc_timeout_ms.to_string(),
-                "rpc_retries" => self.rpc_retries.to_string(),
-                "shards" => self.shards.to_string(),
-                "telemetry_window_ms" => self.telemetry_window_ms.to_string(),
-                "seeds" => self
-                    .seeds
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                _ => unreachable!("KNOWN_KEYS covered"),
-            };
-            out.push_str(key);
-            out.push('=');
-            out.push_str(&value);
-            out.push('\n');
-        }
-        out
+        KEYS.iter()
+            .map(|k| format!("{}={}\n", k.name, k.value(self)))
+            .collect()
     }
 
-    /// Check cross-field consistency (policy known to the engine,
-    /// workload known, non-degenerate grid).
+    /// Check every field against its key's [`Domain`] and `engines`
+    /// column, then the cross-field rules.
     pub fn validate(&self) -> Result<(), SpecError> {
-        match self.engine {
-            EngineKind::Central => {
-                if !["fifo", "fair", "srpt", "budgeted", "hopper"].contains(&self.policy.as_str()) {
+        let mut defaults = None;
+        for row in KEYS {
+            let value = row.value(self);
+            row.domain.check(row.name, &value)?;
+            if !row.engines.contains(&self.engine) {
+                let defaults = defaults.get_or_insert_with(|| Self::defaults(self.engine));
+                if value != row.value(defaults) {
+                    let engines: Vec<&str> = row.engines.iter().map(EngineKind::as_str).collect();
                     return Err(err(format!(
-                        "central policy must be fifo|fair|srpt|budgeted|hopper, got `{}`",
-                        self.policy
-                    )));
-                }
-            }
-            EngineKind::Decentral => {
-                if !["sparrow", "sparrow-srpt", "hopper"].contains(&self.policy.as_str()) {
-                    return Err(err(format!(
-                        "decentral policy must be sparrow|sparrow-srpt|hopper, got `{}`",
-                        self.policy
+                        "{}={value} requires engine={}: the {} engine takes only {}={}",
+                        row.name,
+                        engines.join("|"),
+                        self.engine.as_str(),
+                        row.name,
+                        row.value(defaults),
                     )));
                 }
             }
         }
-        if !["facebook", "bing"].contains(&self.workload.as_str()) {
+        let policies: &[&str] = match self.engine {
+            EngineKind::Central => &["fifo", "fair", "srpt", "budgeted", "hopper"],
+            EngineKind::Decentral => &["sparrow", "sparrow-srpt", "hopper"],
+        };
+        if !policies.contains(&self.policy.as_str()) {
             return Err(err(format!(
-                "workload must be facebook|bing, got `{}`",
-                self.workload
+                "{} policy must be {}, got `{}`",
+                self.engine.as_str(),
+                policies.join("|"),
+                self.policy
             )));
         }
         if self.single_phase && self.fixed_dag_len.is_some() {
             return Err(err("single_phase and fixed_dag_len are mutually exclusive"));
         }
-        if self.jobs == 0 {
-            return Err(err("jobs must be positive"));
-        }
-        if !(self.realloc_drift >= 0.0 && self.realloc_drift.is_finite()) {
-            return Err(err(format!(
-                "realloc_drift must be finite and >= 0, got {}",
-                self.realloc_drift
-            )));
-        }
-        if self.max_jobs == Some(0) {
-            return Err(err("max_jobs must be positive (or none)"));
-        }
-        if self.fixed_tasks == Some(0) {
-            return Err(err("fixed_tasks must be positive (or none)"));
-        }
-        if self.machines == 0 || self.slots == 0 {
-            return Err(err("machines and slots must be positive"));
-        }
-        if !(self.util > 0.0 && self.util <= 1.5) {
-            return Err(err(format!("util must be in (0, 1.5], got {}", self.util)));
-        }
-        if !["off", "uniform", "bimodal", "lognormal"].contains(&self.hetero.as_str()) {
-            return Err(err(format!(
-                "hetero must be off|uniform|bimodal|lognormal, got `{}`",
-                self.hetero
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.slow_frac) {
-            return Err(err(format!(
-                "slow_frac must be in [0, 1], got {}",
-                self.slow_frac
-            )));
-        }
-        if !(self.slow_factor > 0.0 && self.slow_factor <= 1.0) {
-            return Err(err(format!(
-                "slow_factor must be in (0, 1], got {}",
-                self.slow_factor
-            )));
-        }
-        if !(self.hetero_sigma >= 0.0 && self.hetero_sigma.is_finite()) {
-            return Err(err(format!(
-                "hetero_sigma must be finite and >= 0, got {}",
-                self.hetero_sigma
-            )));
-        }
-        for (key, rate) in [
-            ("slowdown_rate", self.slowdown_rate),
-            ("fail_rate", self.fail_rate),
-        ] {
-            if !(rate >= 0.0 && rate.is_finite()) {
-                return Err(err(format!("{key} must be finite and >= 0, got {rate}")));
-            }
-        }
         if self.fail_rate > 0.0 && self.mttr_ms == 0 {
             return Err(err("mttr_ms must be positive when fail_rate > 0"));
-        }
-        for (key, p) in [("msg_loss", self.msg_loss), ("msg_dup", self.msg_dup)] {
-            if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-                return Err(err(format!("{key} must be in [0, 1], got {p}")));
-            }
-        }
-        if !(self.sched_fail_rate >= 0.0 && self.sched_fail_rate.is_finite()) {
-            return Err(err(format!(
-                "sched_fail_rate must be finite and >= 0, got {}",
-                self.sched_fail_rate
-            )));
         }
         if self.sched_fail_rate > 0.0 && self.sched_mttr_ms == 0 {
             return Err(err(
                 "sched_mttr_ms must be positive when sched_fail_rate > 0",
             ));
-        }
-        if self.rpc_timeout_ms == 0 {
-            return Err(err("rpc_timeout_ms must be positive"));
-        }
-        if self.rpc_retries == 0 {
-            return Err(err("rpc_retries must be at least 1"));
-        }
-        if self.engine == EngineKind::Central && self.faults().enabled() {
-            return Err(err(
-                "message faults (msg_loss/msg_jitter_ms/msg_dup/sched_fail_rate) \
-                 require engine=decentral — the central engine has no RPC plane",
-            ));
-        }
-        if self.engine == EngineKind::Central && self.shards > 0 {
-            return Err(err(
-                "shards requires engine=decentral — the central engine has no sharded driver",
-            ));
-        }
-        if !["constant", "diurnal"].contains(&self.rate_profile.as_str()) {
-            return Err(err(format!(
-                "rate_profile must be constant|diurnal, got `{}`",
-                self.rate_profile
-            )));
-        }
-        if !(self.burst_rate >= 0.0 && self.burst_rate.is_finite()) {
-            return Err(err(format!(
-                "burst_rate must be finite and >= 0, got {}",
-                self.burst_rate
-            )));
         }
         // The profile's own invariants (burst_mult >= 1, windows must not
         // tile the hour, ...) live with the profile.
@@ -683,18 +761,6 @@ impl ExperimentSpec {
             if self.max_jobs.is_some() {
                 return Err(err("replay and max_jobs are mutually exclusive"));
             }
-        }
-        if !(self.probe_ratio > 0.0 && self.probe_ratio.is_finite()) {
-            return Err(err(format!(
-                "probe_ratio must be finite and > 0, got {}",
-                self.probe_ratio
-            )));
-        }
-        if !(self.eps.is_finite() && (0.0..=1.0).contains(&self.eps)) {
-            return Err(err(format!("eps must be in [0, 1], got {}", self.eps)));
-        }
-        if self.seeds.is_empty() {
-            return Err(err("seeds must name at least one seed"));
         }
         Ok(())
     }
@@ -817,6 +883,14 @@ impl ExperimentSpec {
     /// Build the configured engine for one trial seed.
     pub fn engine(&self, seed: u64) -> Result<Box<dyn Engine>, SpecError> {
         self.validate()?;
+        // Overrides of the engine's defaults.
+        let scan = self.scan_ms.map(SimTime::from_millis);
+        let speculator = self.spec_min_elapsed_ms.map(|ms| {
+            Speculator::Late(SpecConfig {
+                min_elapsed: SimTime::from_millis(ms),
+                ..Default::default()
+            })
+        });
         match self.engine {
             EngineKind::Central => {
                 let policy = match self.policy.as_str() {
@@ -843,15 +917,8 @@ impl ExperimentSpec {
                     telemetry_window_ms: self.telemetry_window_ms,
                     ..Default::default()
                 };
-                if let Some(ms) = self.scan_ms {
-                    cfg.scan_interval = SimTime::from_millis(ms);
-                }
-                if let Some(ms) = self.spec_min_elapsed_ms {
-                    cfg.speculator = Speculator::Late(SpecConfig {
-                        min_elapsed: SimTime::from_millis(ms),
-                        ..Default::default()
-                    });
-                }
+                cfg.scan_interval = scan.unwrap_or(cfg.scan_interval);
+                cfg.speculator = speculator.unwrap_or(cfg.speculator);
                 Ok(Box::new(CentralEngine { policy, cfg }))
             }
             EngineKind::Decentral => {
@@ -873,15 +940,8 @@ impl ExperimentSpec {
                     telemetry_window_ms: self.telemetry_window_ms,
                     ..Default::default()
                 };
-                if let Some(ms) = self.scan_ms {
-                    cfg.scan_interval = SimTime::from_millis(ms);
-                }
-                if let Some(ms) = self.spec_min_elapsed_ms {
-                    cfg.speculator = Speculator::Late(SpecConfig {
-                        min_elapsed: SimTime::from_millis(ms),
-                        ..Default::default()
-                    });
-                }
+                cfg.scan_interval = scan.unwrap_or(cfg.scan_interval);
+                cfg.speculator = speculator.unwrap_or(cfg.speculator);
                 Ok(Box::new(DecentralEngine { policy, cfg }))
             }
         }
@@ -906,28 +966,6 @@ impl ExperimentSpec {
         } else {
             Ok(engine.run(&self.trace(seed)))
         }
-    }
-}
-
-fn parse_bool(key: &str, value: &str) -> Result<bool, SpecError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(err(format!("{key} must be true|false, got `{other}`"))),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
-    value
-        .parse()
-        .map_err(|_| err(format!("could not parse {key}=`{value}`")))
-}
-
-fn parse_opt<T: std::str::FromStr>(key: &str, value: &str) -> Result<Option<T>, SpecError> {
-    if value == "none" {
-        Ok(None)
-    } else {
-        parse_num(key, value).map(Some)
     }
 }
 
@@ -965,6 +1003,256 @@ seeds=0,1,2
         // Engine-specific defaults came from the decentral base.
         assert_eq!(once.machines, 300);
         assert_eq!(once.handoff_ms, 0);
+    }
+
+    /// `render()` of both default sets, byte for byte: key set, key
+    /// order and number formatting are part of the text format.
+    #[test]
+    fn render_of_the_defaults_is_pinned() {
+        const CENTRAL: &str = "\
+engine=central
+policy=hopper
+workload=facebook
+interactive=false
+single_phase=false
+fixed_dag_len=none
+fixed_beta=none
+fixed_tasks=none
+learn_beta=true
+realloc_drift=0
+jobs=100
+max_jobs=none
+stream=off
+rate_profile=constant
+rate_period_ms=0
+burst_rate=0
+burst_mult=4
+burst_len_ms=60000
+replay=none
+machines=50
+slots=4
+handoff_ms=1000
+util=0.7
+eps=0.1
+scan_ms=none
+spec_min_elapsed_ms=none
+probe_ratio=4
+refusals=2
+schedulers=1
+hetero=off
+slow_frac=0.2
+slow_factor=0.4
+hetero_sigma=0.25
+slowdown_rate=0
+fail_rate=0
+mttr_ms=30000
+msg_loss=0
+msg_jitter_ms=0
+msg_dup=0
+sched_fail_rate=0
+sched_mttr_ms=10000
+rpc_timeout_ms=2000
+rpc_retries=3
+shards=0
+telemetry_window_ms=0
+seeds=1
+";
+        const DECENTRAL: &str = "\
+engine=decentral
+policy=hopper
+workload=facebook
+interactive=false
+single_phase=false
+fixed_dag_len=none
+fixed_beta=none
+fixed_tasks=none
+learn_beta=true
+realloc_drift=0
+jobs=100
+max_jobs=none
+stream=off
+rate_profile=constant
+rate_period_ms=0
+burst_rate=0
+burst_mult=4
+burst_len_ms=60000
+replay=none
+machines=300
+slots=2
+handoff_ms=0
+util=0.7
+eps=0.1
+scan_ms=none
+spec_min_elapsed_ms=none
+probe_ratio=4
+refusals=2
+schedulers=10
+hetero=off
+slow_frac=0.2
+slow_factor=0.4
+hetero_sigma=0.25
+slowdown_rate=0
+fail_rate=0
+mttr_ms=30000
+msg_loss=0
+msg_jitter_ms=0
+msg_dup=0
+sched_fail_rate=0
+sched_mttr_ms=10000
+rpc_timeout_ms=2000
+rpc_retries=3
+shards=0
+telemetry_window_ms=0
+seeds=1
+";
+        assert_eq!(ExperimentSpec::central().render(), CENTRAL);
+        assert_eq!(ExperimentSpec::decentral().render(), DECENTRAL);
+    }
+
+    /// Values of `domain` for the table walk: inside values (boundaries
+    /// and an interior point) and values just outside.
+    fn samples(domain: &Domain) -> (Vec<String>, Vec<String>) {
+        match *domain {
+            Domain::Bool(words) => (words.map(String::from).to_vec(), vec!["yes".into()]),
+            Domain::Int { lo, hi } => {
+                let mut inside = vec![lo.to_string(), (lo + 1).to_string()];
+                let outside = if lo > 0 {
+                    (lo - 1).to_string()
+                } else if hi < u64::MAX {
+                    (hi + 1).to_string()
+                } else {
+                    "-1".into()
+                };
+                if hi < u64::MAX {
+                    inside.push(hi.to_string());
+                }
+                (inside, vec![outside])
+            }
+            Domain::Float { lo, lo_open, hi } => {
+                let boundary = if lo_open { lo.next_up() } else { lo };
+                let interior = if hi.is_finite() {
+                    (lo + hi) / 2.0
+                } else {
+                    lo + 2.5
+                };
+                let mut inside = vec![boundary, interior];
+                let mut outside = vec![if lo_open { lo } else { lo - 0.5 }];
+                if hi.is_finite() {
+                    inside.push(hi);
+                    outside.push(hi + 0.5);
+                }
+                let text = |xs: Vec<f64>| xs.iter().map(f64::to_string).collect::<Vec<_>>();
+                let mut outside = text(outside);
+                outside.extend(["inf".into(), "nan".into()]);
+                (text(inside), outside)
+            }
+            Domain::Enum(names) => (
+                names.iter().map(|n| n.to_string()).collect(),
+                vec!["bogus".into()],
+            ),
+            Domain::Path => (vec!["trace.csv".into()], vec!["".into()]),
+            Domain::Opt(inner) => {
+                let (mut inside, outside) = samples(inner);
+                inside.push("none".into());
+                (inside, outside)
+            }
+            Domain::Seeds => (
+                vec!["0".into(), "1,2,3".into()],
+                vec!["".into(), "1,x".into()],
+            ),
+        }
+    }
+
+    /// Every row of the key table, walked through its domain: inside
+    /// values parse on at least one engine, land in the field, and
+    /// survive parse∘render; values just outside are rejected on both
+    /// engines with an error naming the key; and a key the central
+    /// engine takes only at its default is rejected there otherwise.
+    #[test]
+    fn every_key_round_trips_its_domain() {
+        for key in KEYS {
+            let (inside, outside) = samples(&key.domain);
+            for value in &inside {
+                let mut parsed_on = 0;
+                for engine in [EngineKind::Central, EngineKind::Decentral] {
+                    let text = format!("engine={}\n{}={value}\n", engine.as_str(), key.name);
+                    let spec = match ExperimentSpec::parse(&text) {
+                        Ok(spec) => spec,
+                        Err(e) => {
+                            if !key.engines.contains(&engine) {
+                                assert!(e.0.contains("engine=decentral"), "{e}");
+                            }
+                            continue;
+                        }
+                    };
+                    parsed_on += 1;
+                    assert_eq!(key.value(&spec), *value, "{}", key.name);
+                    let again = ExperimentSpec::parse(&spec.render()).unwrap();
+                    assert_eq!(again, spec, "{}={value}", key.name);
+                    assert_eq!(again.render(), spec.render());
+                }
+                assert!(parsed_on > 0, "{}={value} parses on no engine", key.name);
+            }
+            for value in &outside {
+                for engine in ["central", "decentral"] {
+                    let text = format!("engine={engine}\n{}={value}\n", key.name);
+                    let e = ExperimentSpec::parse(&text).unwrap_err();
+                    assert!(
+                        e.0.contains(key.name),
+                        "error should name `{}`: {e}",
+                        key.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workload_and_driver_values_are_validated() {
+        // Each of these panicked, hung or silently ran something else.
+        for bad in [
+            "fixed_beta=1",
+            "fixed_beta=0.5",
+            "fixed_beta=-1",
+            "fixed_dag_len=0",
+            "scan_ms=0",
+            "schedulers=0",
+            "shards=65",
+        ] {
+            let e = ExperimentSpec::parse(&format!("engine=decentral\n{bad}\n")).unwrap_err();
+            let key = bad.split('=').next().unwrap();
+            assert!(e.0.contains(key), "error should name `{key}`: {e}");
+        }
+        let at_bound = format!("engine=decentral\nshards={MAX_SHARDS}\n");
+        assert!(ExperimentSpec::parse(&at_bound).is_ok());
+        // validate() walks the table, so a field set directly is checked.
+        let mut s = ExperimentSpec::decentral();
+        s.scan_ms = Some(0);
+        assert!(s.validate().unwrap_err().0.contains("scan_ms"));
+        let mut s = ExperimentSpec::decentral();
+        s.schedulers = 0;
+        assert!(s.validate().unwrap_err().0.contains("schedulers"));
+        let mut s = ExperimentSpec::decentral();
+        s.shards = MAX_SHARDS as usize + 1;
+        assert!(s.validate().unwrap_err().0.contains("shards"));
+        let mut s = ExperimentSpec::central();
+        s.fixed_beta = Some(1.0);
+        assert!(s.validate().unwrap_err().0.contains("fixed_beta"));
+        let mut s = ExperimentSpec::central();
+        s.fixed_dag_len = Some(0);
+        assert!(s.validate().unwrap_err().0.contains("fixed_dag_len"));
+    }
+
+    #[test]
+    fn parse_on_starts_from_the_given_engine() {
+        let d = ExperimentSpec::parse_on(EngineKind::Decentral, "jobs=5\n").unwrap();
+        assert_eq!(
+            d,
+            ExperimentSpec::parse("engine=decentral\njobs=5\n").unwrap()
+        );
+        // A named engine still wins.
+        let c = ExperimentSpec::parse_on(EngineKind::Decentral, "engine=central\n").unwrap();
+        assert_eq!(c, ExperimentSpec::central());
     }
 
     #[test]

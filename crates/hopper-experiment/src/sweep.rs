@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 use hopper_metrics::{percentile, JobResult, RunReport, Table};
 
-use crate::spec::{ExperimentSpec, SpecError};
+use crate::spec::{ExperimentSpec, KeySpec, SpecError, Sweepable};
 
 /// One sweep dimension: a spec key and the values it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,33 +227,8 @@ fn grid(
     spec: &ExperimentSpec,
     axis: &SweepAxis,
 ) -> Result<Vec<(ExperimentSpec, String, u64)>, SpecError> {
-    if axis.key == "seeds" {
-        return Err(SpecError(
-            "`seeds` is the implicit inner grid dimension; sweep a different key".into(),
-        ));
-    }
-    if axis.key == "engine" {
-        // `set("engine", ..)` flips only the enum — engine-specific
-        // *defaults* (schedulers, handoff, cluster shape) are chosen by
-        // the spec constructors / `parse`, so an engine axis would run
-        // the second engine with the first engine's field values and
-        // compare unlike with unlike. Run one sweep per engine instead.
-        return Err(SpecError(
-            "`engine` cannot be a sweep axis (each engine has its own defaults); \
-             run one sweep per engine"
-                .into(),
-        ));
-    }
-    if axis.key == "telemetry_window_ms" {
-        // The telemetry window is an observation knob with no effect on
-        // simulation results (the observer invariant) — every axis value
-        // would produce identical rows. Set it on the spec instead.
-        return Err(SpecError(
-            "`telemetry_window_ms` cannot be a sweep axis: it only changes what is \
-             observed, never the simulation — every value would produce identical \
-             rows. Set telemetry_window_ms= on the spec instead"
-                .into(),
-        ));
+    if let Sweepable::No(why) = KeySpec::find(&axis.key)?.sweepable {
+        return Err(SpecError(why.into()));
     }
     if axis.values.is_empty() {
         return Err(SpecError(format!("axis `{}` has no values", axis.key)));

@@ -1,38 +1,31 @@
 //! `hopper` — command-line experiment runner over the experiment layer.
 //!
 //! ```text
-//! hopper central   [--policy srpt|fifo|fair|budgeted|hopper] [--jobs N]
-//!                  [--machines N] [--slots N] [--util F] [--seed N]
-//!                  [--workload facebook|bing] [--interactive] [--eps F]
-//! hopper decentral [--policy sparrow|sparrow-srpt|hopper] [--jobs N]
-//!                  [--workers N] [--slots N] [--util F] [--seed N]
-//!                  [--probe-ratio F] [--refusals N] [--workload facebook|bing]
-//!                  [--msg-loss F] [--msg-jitter-ms N] [--msg-dup F]
-//!                  [--sched-fail-rate F] [--sched-mttr-ms N]
-//!                  [--rpc-timeout-ms N] [--rpc-retries N]
-//! hopper sweep     [--spec FILE] [key=value ...] --axis KEY=V1,V2[,...]
-//!                  [--threads N] [--csv] [--series-dir DIR]
-//! hopper stability [--spec FILE] [key=value ...] [--policies P1,P2,...]
-//!                  [--profiles constant,diurnal] [--lo F] [--hi F]
-//!                  [--iters N] [--threads N] [--csv]
+//! hopper central   [SPEC ARGS] [--series-out FILE]
+//! hopper decentral [SPEC ARGS] [--series-out FILE]
+//! hopper sweep     [SPEC ARGS] --axis KEY=V1,V2[,...] [--threads N] [--csv]
+//!                  [--series-dir DIR]
+//! hopper stability [SPEC ARGS] [--policies P1,P2,...] [--profiles constant,diurnal]
+//!                  [--lo F] [--hi F] [--iters N] [--threads N] [--csv]
 //! hopper report    [--out FILE] [--svg-out FILE] A.jsonl [B.jsonl]
 //! hopper example   # the §3 motivating example (Table 1 / Figures 1-2)
 //! ```
 //!
-//! `central` and `decentral` are thin builders over
-//! [`hopper::experiment::ExperimentSpec`]: each flag sets the spec field
-//! of the same name and the single trial runs through the same path a
-//! sweep cell does. Defaults are the spec defaults — central 50×4 slots,
-//! decentral the paper's deployment shape (300 workers × 2 slots, 10
-//! schedulers; the pre-experiment-layer CLI defaulted decentral to a
-//! clamped 50×4) — and flag values are taken as given, unclamped. `sweep` expands one spec along one axis (any spec
-//! key) × its seed list and fans the grid out over worker threads;
-//! results are bit-identical to a serial run regardless of `--threads`.
-//! Exit code 0 on success; unknown flags or keys abort with usage.
+//! The four spec-driven modes share one argument reader ([`read_args`]):
+//! `--spec FILE` lines, then `key=value` arguments, then flags, each
+//! later source overriding an earlier one. Every key of the spec-key
+//! table ([`KEYS`]) has a flag: `--foo-bar V` sets `foo_bar=V`. `central`
+//! and `decentral` run one trial on their engine's defaults — central
+//! 50×4 slots, decentral the paper's deployment shape (300 workers × 2
+//! slots, 10 schedulers) — and take values as given, unclamped. `sweep`
+//! expands one spec along one axis (any sweepable key) × its seed list
+//! and fans the grid out over worker threads; results are bit-identical
+//! to a serial run regardless of `--threads`. Exit code 0 on success;
+//! unknown flags or keys abort with usage.
 
 use hopper::experiment::{
     frontier_csv, frontier_grid, sweep_with_threads, EngineKind, ExperimentSpec, FrontierConfig,
-    SpecError, SweepAxis, SweepTable,
+    SpecError, SweepAxis, SweepTable, KEYS,
 };
 use hopper::metrics::{mean_duration_in_bin, JobResult, SizeBin, Table};
 use std::process::exit;
@@ -64,111 +57,121 @@ fn bail(e: SpecError) -> ! {
     exit(2);
 }
 
-/// Map the classic per-driver flags onto spec keys. Every flag is a
-/// 1:1 rename (`--probe-ratio` → `probe_ratio`); `--workers` is an
-/// alias for `--machines` and `--seed` sets a one-entry seed list.
-fn apply_flags(spec: &mut ExperimentSpec, rest: &[String]) {
+/// A mode flag's numeric value, or exit 2.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs a number, got `{value}`");
+        exit(2)
+    })
+}
+
+/// Flags that set a key without taking a value.
+const SWITCHES: &[(&str, &str)] = &[
+    ("--interactive", "interactive=true"),
+    ("--stream", "stream=on"),
+];
+
+/// Read the spec arguments the spec-driven modes share. `own` sees every
+/// argument first and claims the mode's own flags, calling `next` for a
+/// flag's value. Returns the spec as `key=value` text in order of
+/// precedence — `--spec FILE` lines, then `key=value` arguments, then
+/// flags — so that a later source overrides an earlier one (the parser
+/// takes the last occurrence of a key) wherever `--spec` sits.
+fn read_args(
+    rest: &[String],
+    mut own: impl FnMut(&str, &mut dyn FnMut() -> String) -> bool,
+) -> String {
+    let (mut file, mut pairs, mut flags) = (String::new(), String::new(), String::new());
     let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut next = |name: &str| {
+    while let Some(arg) = it.next() {
+        let mut next = || {
             it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {name} needs a value");
-                exit(2);
+                eprintln!("flag {arg} needs a value");
+                exit(2)
             })
         };
-        let r = match flag.as_str() {
-            "--policy" => spec.set("policy", &next("--policy")),
-            "--jobs" => spec.set("jobs", &next("--jobs")),
-            "--machines" | "--workers" => spec.set("machines", &next("--machines")),
-            "--slots" => spec.set("slots", &next("--slots")),
-            "--util" => spec.set("util", &next("--util")),
+        if own(arg, &mut next) {
+            continue;
+        }
+        let (pair, into) = match arg.as_str() {
+            "--spec" => {
+                let path = next();
+                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                    eprintln!("could not read spec file {path}: {e}");
+                    exit(2)
+                });
+                file.push_str(&text);
+                // Keep a file whose last line lacks '\n' from merging
+                // with the next spec line.
+                if !file.ends_with('\n') {
+                    file.push('\n');
+                }
+                continue;
+            }
+            kv if kv.contains('=') && !kv.starts_with("--") => (kv.to_string(), &mut pairs),
             "--seed" => {
-                // Single-run mode takes exactly one seed; a comma list
-                // would silently run only its head. Seed *lists* belong
-                // to `hopper sweep` (the `seeds=` key).
-                let v = next("--seed");
-                if v.parse::<u64>().is_err() {
+                // `--seed` names exactly one seed; lists go through
+                // `seeds=` or `--seeds`.
+                let seed = next();
+                if seed.parse::<u64>().is_err() {
                     eprintln!(
                         "--seed takes one seed (use `hopper sweep` with seeds=... for lists)"
                     );
                     exit(2);
                 }
-                spec.set("seeds", &v)
+                (format!("seeds={seed}"), &mut flags)
             }
-            "--workload" => spec.set("workload", &next("--workload")),
-            "--interactive" => spec.set("interactive", "true"),
-            "--stream" => spec.set("stream", "on"),
-            "--max-jobs" => spec.set("max_jobs", &next("--max-jobs")),
-            "--rate-profile" => spec.set("rate_profile", &next("--rate-profile")),
-            "--rate-period-ms" => spec.set("rate_period_ms", &next("--rate-period-ms")),
-            "--burst-rate" => spec.set("burst_rate", &next("--burst-rate")),
-            "--burst-mult" => spec.set("burst_mult", &next("--burst-mult")),
-            "--burst-len-ms" => spec.set("burst_len_ms", &next("--burst-len-ms")),
-            "--replay" => spec.set("replay", &next("--replay")),
-            "--eps" => spec.set("eps", &next("--eps")),
-            "--realloc-drift" => spec.set("realloc_drift", &next("--realloc-drift")),
-            "--probe-ratio" => spec.set("probe_ratio", &next("--probe-ratio")),
-            "--refusals" => spec.set("refusals", &next("--refusals")),
-            "--hetero" => spec.set("hetero", &next("--hetero")),
-            "--slow-frac" => spec.set("slow_frac", &next("--slow-frac")),
-            "--slow-factor" => spec.set("slow_factor", &next("--slow-factor")),
-            "--hetero-sigma" => spec.set("hetero_sigma", &next("--hetero-sigma")),
-            "--slowdown-rate" => spec.set("slowdown_rate", &next("--slowdown-rate")),
-            "--fail-rate" => spec.set("fail_rate", &next("--fail-rate")),
-            "--mttr-ms" => spec.set("mttr_ms", &next("--mttr-ms")),
-            "--msg-loss" => spec.set("msg_loss", &next("--msg-loss")),
-            "--msg-jitter-ms" => spec.set("msg_jitter_ms", &next("--msg-jitter-ms")),
-            "--msg-dup" => spec.set("msg_dup", &next("--msg-dup")),
-            "--sched-fail-rate" => spec.set("sched_fail_rate", &next("--sched-fail-rate")),
-            "--sched-mttr-ms" => spec.set("sched_mttr_ms", &next("--sched-mttr-ms")),
-            "--rpc-timeout-ms" => spec.set("rpc_timeout_ms", &next("--rpc-timeout-ms")),
-            "--rpc-retries" => spec.set("rpc_retries", &next("--rpc-retries")),
-            "--shards" => spec.set("shards", &next("--shards")),
-            "--telemetry-window-ms" => {
-                spec.set("telemetry_window_ms", &next("--telemetry-window-ms"))
-            }
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage();
-                exit(2);
-            }
+            "--workers" => (format!("machines={}", next()), &mut flags),
+            flag => match SWITCHES.iter().find(|(switch, _)| *switch == flag) {
+                Some((_, pair)) => (pair.to_string(), &mut flags),
+                None => match KEYS.iter().find(|key| key.flag() == flag) {
+                    Some(key) => (format!("{}={}", key.name, next()), &mut flags),
+                    None => {
+                        eprintln!("unknown argument: {flag} (expected key=value or a --flag)");
+                        usage();
+                        exit(2);
+                    }
+                },
+            },
         };
-        if let Err(e) = r {
+        // Check the pair alone, so an error names the argument rather than
+        // a line of the combined text.
+        let (key, value) = pair.split_once('=').expect("a key=value pair");
+        if let Err(e) = ExperimentSpec::central().set(key.trim(), value.trim()) {
             bail(e);
         }
+        into.push_str(&pair);
+        into.push('\n');
     }
+    file + &pairs + &flags
 }
 
 fn run_single(kind: EngineKind, rest: &[String]) {
-    let mut spec = match kind {
-        EngineKind::Central => ExperimentSpec::central(),
-        EngineKind::Decentral => ExperimentSpec::decentral(),
-    };
-    // `--series-out` is an output sink, not a spec key: peel it off
-    // before the flag→key mapping sees the argument list.
+    // `--series-out` is an output sink, not a spec key.
     let mut series_out: Option<String> = None;
-    let mut flags: Vec<String> = Vec::with_capacity(rest.len());
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--series-out" {
-            let Some(path) = it.next() else {
-                eprintln!("flag --series-out needs a value");
-                exit(2);
-            };
-            series_out = Some(path.clone());
-        } else {
-            flags.push(arg.clone());
+    let text = read_args(rest, |flag, next| {
+        let claimed = flag == "--series-out";
+        if claimed {
+            series_out = Some(next());
         }
+        claimed
+    });
+    let spec = ExperimentSpec::parse_on(kind, &text).unwrap_or_else(|e| bail(e));
+    if spec.engine != kind {
+        eprintln!(
+            "`hopper {0}` runs engine={0}; drop the engine= setting",
+            kind.as_str()
+        );
+        exit(2);
     }
-    apply_flags(&mut spec, &flags);
-    if let Err(e) = spec.validate() {
-        bail(e);
-    }
+    let [seed] = spec.seeds[..] else {
+        eprintln!("a single run takes one seed (use `hopper sweep` for seed lists)");
+        exit(2);
+    };
     if series_out.is_some() && spec.telemetry_window_ms == 0 {
         eprintln!("--series-out needs --telemetry-window-ms N (N > 0) to collect a series");
         exit(2);
     }
-    let seed = spec.seeds[0];
     let out = spec.run_one(seed).unwrap_or_else(|e| bail(e));
     let report = out.report();
     let core = &report.core;
@@ -222,67 +225,25 @@ fn run_single(kind: EngineKind, rest: &[String]) {
 }
 
 fn run_sweep(rest: &[String]) {
-    // File pairs and command-line pairs are collected separately and
-    // applied file-first, so explicit `key=value` arguments override
-    // the `--spec` file regardless of where `--spec` sits on the line
-    // (the parser takes the last occurrence of a key).
-    let mut file_text = String::new();
-    let mut arg_text = String::new();
     let mut axis: Option<SweepAxis> = None;
     let mut threads: Option<usize> = None;
     let mut csv = false;
     let mut series_dir: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {name} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--spec" => {
-                let path = next("--spec");
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => {
-                        file_text.push_str(&text);
-                        // Keep a file whose last line lacks '\n' from
-                        // merging with the next spec line.
-                        if !file_text.ends_with('\n') {
-                            file_text.push('\n');
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("could not read spec file {path}: {e}");
-                        exit(2);
-                    }
-                }
-            }
-            "--axis" => axis = Some(SweepAxis::parse(&next("--axis")).unwrap_or_else(|e| bail(e))),
-            "--threads" => {
-                threads = Some(next("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    exit(2);
-                }))
-            }
+    let text = read_args(rest, |flag, next| {
+        match flag {
+            "--axis" => axis = Some(SweepAxis::parse(&next()).unwrap_or_else(|e| bail(e))),
+            "--threads" => threads = Some(number(flag, &next())),
             "--csv" => csv = true,
-            "--series-dir" => series_dir = Some(next("--series-dir")),
-            kv if kv.contains('=') && !kv.starts_with("--") => {
-                arg_text.push_str(kv);
-                arg_text.push('\n');
-            }
-            other => {
-                eprintln!("unknown sweep argument: {other} (expected key=value or a --flag)");
-                usage();
-                exit(2);
-            }
+            "--series-dir" => series_dir = Some(next()),
+            _ => return false,
         }
-    }
+        true
+    });
     let Some(axis) = axis else {
         eprintln!("sweep needs --axis KEY=V1,V2[,...]");
         exit(2);
     };
-    let spec = ExperimentSpec::parse(&format!("{file_text}{arg_text}")).unwrap_or_else(|e| bail(e));
+    let spec = ExperimentSpec::parse(&text).unwrap_or_else(|e| bail(e));
     if series_dir.is_some() && spec.telemetry_window_ms == 0 {
         eprintln!("--series-dir needs telemetry_window_ms=N (N > 0) on the spec to collect series");
         exit(2);
@@ -316,82 +277,33 @@ fn run_sweep(rest: &[String]) {
 /// frontier, each scheduler in its own home configuration refined by
 /// the shared `key=value` overrides.
 fn run_stability(rest: &[String]) {
-    let mut file_text = String::new();
-    let mut arg_text = String::new();
     let mut policies = "hopper,sparrow,srpt".to_string();
     let mut profiles = "constant".to_string();
     let mut cfg = FrontierConfig::default();
     let mut threads: Option<usize> = None;
     let mut csv = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {name} needs a value");
-                exit(2);
-            })
-        };
-        let parse_f64 = |name: &str, v: String| -> f64 {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{name} needs a number, got `{v}`");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--spec" => {
-                let path = next("--spec");
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => {
-                        file_text.push_str(&text);
-                        if !file_text.ends_with('\n') {
-                            file_text.push('\n');
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("could not read spec file {path}: {e}");
-                        exit(2);
-                    }
-                }
-            }
-            "--policies" => policies = next("--policies"),
-            "--profiles" => profiles = next("--profiles"),
-            "--lo" => cfg.lo = parse_f64("--lo", next("--lo")),
-            "--hi" => cfg.hi = parse_f64("--hi", next("--hi")),
-            "--iters" => {
-                cfg.iters = next("--iters").parse().unwrap_or_else(|_| {
-                    eprintln!("--iters needs a number");
-                    exit(2);
-                })
-            }
-            "--threads" => {
-                threads = Some(next("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    exit(2);
-                }))
-            }
+    let text = read_args(rest, |flag, next| {
+        match flag {
+            "--policies" => policies = next(),
+            "--profiles" => profiles = next(),
+            "--lo" => cfg.lo = number(flag, &next()),
+            "--hi" => cfg.hi = number(flag, &next()),
+            "--iters" => cfg.iters = number(flag, &next()),
+            "--threads" => threads = Some(number(flag, &next())),
             "--csv" => csv = true,
-            kv if kv.contains('=') && !kv.starts_with("--") => {
-                arg_text.push_str(kv);
-                arg_text.push('\n');
-            }
-            other => {
-                eprintln!("unknown stability argument: {other} (expected key=value or a --flag)");
-                usage();
-                exit(2);
-            }
+            _ => return false,
         }
-    }
+        true
+    });
     let mut cells = Vec::new();
     for profile in profiles.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         for policy in policies.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             let engine = match policy {
-                "fifo" | "fair" | "srpt" | "budgeted" => "central",
-                _ => "decentral",
+                "fifo" | "fair" | "srpt" | "budgeted" => EngineKind::Central,
+                _ => EngineKind::Decentral,
             };
-            let text = format!(
-                "engine={engine}\n{file_text}{arg_text}policy={policy}\nrate_profile={profile}\n"
-            );
-            cells.push(ExperimentSpec::parse(&text).unwrap_or_else(|e| bail(e)));
+            let text = format!("{text}policy={policy}\nrate_profile={profile}\n");
+            cells.push(ExperimentSpec::parse_on(engine, &text).unwrap_or_else(|e| bail(e)));
         }
     }
     if cells.is_empty() {
@@ -586,7 +498,126 @@ fn run_example() {
 }
 
 fn usage() {
+    let (central, decentral) = (ExperimentSpec::central(), ExperimentSpec::decentral());
+    let mut keys = String::new();
+    for key in KEYS {
+        let flag = key.flag();
+        let is_switch = SWITCHES.iter().any(|(switch, _)| *switch == flag);
+        keys.push_str(&format!(
+            "\n  {:<24}{:<40} {} / {}",
+            if is_switch { flag } else { format!("{flag} V") },
+            key.domain.describe(),
+            key.value(&central),
+            key.value(&decentral),
+        ));
+    }
+    let frontier = FrontierConfig::default();
     eprintln!(
-        "usage:\n  hopper central   [--policy srpt|fifo|fair|budgeted|hopper] [--jobs N] \\\n                   [--machines N] [--slots N] [--util F] [--seed N] \\\n                   [--workload facebook|bing] [--interactive] [--eps F] \\\n                   [--realloc-drift F]  (0 = exact eager reallocation;\n                    F > 0 keeps the last Hopper allocation while total\n                    virtual size drifts < F, relative; sweep key realloc_drift=)\n  hopper decentral [--policy sparrow|sparrow-srpt|hopper] [--workers N] \\\n                   [--slots N] [--jobs N] [--util F] [--seed N] \\\n                   [--probe-ratio F] [--refusals N]\n  hopper sweep     [--spec FILE] [key=value ...] --axis KEY=V1,V2[,...] \\\n                   [--threads N] [--csv] [--series-dir DIR]\n  hopper stability [--spec FILE] [key=value ...] [--policies P1,P2,...] \\\n                   [--profiles constant,diurnal] [--lo F] [--hi F] [--iters N] \\\n                   [--threads N] [--csv]\n  hopper report    [--out FILE] [--svg-out FILE] A.jsonl [B.jsonl]\n  hopper example\n\nstreaming flags (central and decentral; also sweep keys stream=, max_jobs=):\n  --stream          lazy arrivals + job retirement: O(active jobs) job state,\n                    identical results (percentiles via an ε=1% sketch)\n  --max-jobs N      stop consuming the arrival stream after N jobs\n\nnon-stationary arrivals (both engines; sweep keys rate_profile=, burst_rate=, ...):\n  --rate-profile constant|diurnal   arrival-rate shape; diurnal follows a\n                    day/night curve whose time-average stays at --util\n  --rate-period-ms N   diurnal period (0 = derive from the arrival window)\n  --burst-rate F    seeded burst windows per hour layered on the base profile\n  --burst-mult F    rate multiplier inside bursts (off-burst normalized down)\n  --burst-len-ms N  burst window length\n  --replay FILE     replay jobs from CSV (arrival_ms,tasks,work_ms[,dag_len[,beta]])\n                    instead of synthesizing; requires a constant profile\n\nstability frontier (hopper stability; probes run streaming with telemetry):\n  --policies P,...  policies to bisect; fifo|fair|srpt|budgeted run centralized,\n                    sparrow|sparrow-srpt|hopper decentralized (default\n                    hopper,sparrow,srpt)\n  --profiles ...    rate profiles per policy (default constant)\n  --lo F / --hi F   utilization bracket (default 0.5 / 1.4)\n  --iters N         bisection steps after the endpoint probes (default 7)\n\ncluster-dynamics flags (central and decentral; all default off):\n  --hetero off|uniform|bimodal|lognormal   machine speed heterogeneity\n  --slow-frac F     bimodal slow-node fraction        --slow-factor F  slow speed\n  --hetero-sigma F  lognormal sigma                   --slowdown-rate F  per machine-hour\n  --fail-rate F     machine failures per machine-hour --mttr-ms N      mean recovery\n  (the same knobs are sweep keys: hetero=, slow_frac=, fail_rate=, ...)\n\nmessage-fault flags (decentral only; all default off):\n  --msg-loss F      per-RPC loss probability [0,1]   --msg-jitter-ms N  max extra delay\n  --msg-dup F       per-RPC duplication prob [0,1]   --sched-fail-rate F  crashes/sched-hour\n  --sched-mttr-ms N mean scheduler recovery\n  hardening (neutral unless a fault source is on):\n  --rpc-timeout-ms N  watchdog/lease horizon         --rpc-retries N  before fresh round\n  (the same knobs are sweep keys: msg_loss=, msg_dup=, rpc_timeout_ms=, ...)\n\nsharded execution (decentral only; sweep key shards=):\n  --shards N        run the conservative-PDES engine on N threads; results are\n                    bit-identical for every N >= 1 (0 = the serial driver);\n                    sweep worker counts clamp so workers x shards fits the host\n\ntelemetry (both engines; spec key telemetry_window_ms=; default 0 = off):\n  --telemetry-window-ms N  collect a windowed time-series (utilization, queue,\n                    live jobs, speculation, kills, messages, per-window JCT);\n                    never changes simulation results (observer invariant)\n  --series-out FILE single runs: write the series as JSON lines\n  --series-dir DIR  sweeps: one AXIS-VALUE-seedN.jsonl per trial (the\n                    value is sanitized to [A-Za-z0-9._-]; deterministic names)\n  hopper report     render series files into a self-contained HTML page\n                    (one file = single run, two = A/B overlay)"
+        "usage:
+  hopper central   [SPEC ARGS] [--series-out FILE]
+  hopper decentral [SPEC ARGS] [--series-out FILE]
+  hopper sweep     [SPEC ARGS] --axis KEY=V1,V2[,...] [--threads N] [--csv]
+                   [--series-dir DIR]
+  hopper stability [SPEC ARGS] [--policies P1,P2,...] [--profiles constant,diurnal]
+                   [--lo F] [--hi F] [--iters N] [--threads N] [--csv]
+  hopper report    [--out FILE] [--svg-out FILE] A.jsonl [B.jsonl]
+  hopper example   # the §3 motivating example (Table 1 / Figures 1-2)
+
+SPEC ARGS set experiment-spec keys; a later source overrides an earlier one:
+  --spec FILE       key=value lines (# starts a comment)
+  key=value         one key
+  --foo-bar V       foo_bar=V, for every key below; the switches --interactive
+                    and --stream set true and on; --seed N sets exactly one
+                    seed and --workers N is --machines N
+central and decentral run their own engine, from its defaults.
+
+spec keys                 domain                                   default (central / decentral){keys}
+
+stability: bisects each policy's maximum sustainable utilization per rate
+  profile. --policies defaults to hopper,sparrow,srpt (fifo|fair|srpt|budgeted
+  run centralized, the rest decentralized); --lo/--hi bracket utilization
+  (default {lo}/{hi}); --iters bisection steps (default {iters}).
+
+telemetry (needs a positive telemetry window):
+  --series-out FILE single runs: write the series as JSON lines
+  --series-dir DIR  sweeps: one AXIS-VALUE-seedN.jsonl per trial (the value is
+                    sanitized to [A-Za-z0-9._-]; deterministic names)
+  hopper report     render series files into a self-contained HTML page
+                    (one file = single run, two = A/B overlay)",
+        lo = frontier.lo,
+        hi = frontier.hi,
+        iters = frontier.iters,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hopper::experiment::Domain;
+
+    /// Valid values of `domain`, one of which differs from every
+    /// default.
+    fn samples(domain: &Domain) -> Vec<String> {
+        match *domain {
+            Domain::Bool(words) => words.map(String::from).to_vec(),
+            Domain::Int { lo, hi } => vec![if hi < u64::MAX { hi } else { lo + 7 }.to_string()],
+            Domain::Float { lo, hi, .. } => {
+                vec![if hi.is_finite() { hi } else { lo + 2.5 }.to_string()]
+            }
+            Domain::Enum(names) => vec![names[1].into()],
+            Domain::Path => vec!["trace.csv".into()],
+            Domain::Opt(inner) => samples(inner),
+            Domain::Seeds => vec!["7".into()],
+        }
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn every_key_flag_sets_the_same_spec_as_its_key() {
+        for key in KEYS {
+            let flag = key.flag();
+            let switch = SWITCHES.iter().find(|(switch, _)| *switch == flag);
+            let mut moved = false;
+            for value in samples(&key.domain) {
+                let (flag_args, value) = match switch {
+                    Some((_, pair)) => (args(&[&flag]), pair.split_once('=').unwrap().1.into()),
+                    None => (args(&[&flag, &value]), value),
+                };
+                let flagged = read_args(&flag_args, |_, _| false);
+                assert_eq!(flagged, format!("{}={value}\n", key.name));
+                moved |= ["central", "decentral"].iter().any(|engine| {
+                    let base = ExperimentSpec::parse(&format!("engine={engine}\n")).unwrap();
+                    ExperimentSpec::parse(&format!("engine={engine}\n{flagged}"))
+                        .is_ok_and(|keyed| keyed != base)
+                });
+            }
+            assert!(moved, "no sample of {flag} is a valid non-default value");
+        }
+    }
+
+    #[test]
+    fn aliases_map_onto_their_keys() {
+        let text = read_args(&args(&["--workers", "120", "--seed", "9"]), |_, _| false);
+        assert_eq!(text, "machines=120\nseeds=9\n");
+    }
+
+    #[test]
+    fn flags_override_pairs_and_mode_flags_are_claimed() {
+        let mut threads = None;
+        let text = read_args(
+            &args(&["--jobs", "5", "--threads", "3", "jobs=4", "util=0.5"]),
+            |flag, next| {
+                let claimed = flag == "--threads";
+                if claimed {
+                    threads = Some(next());
+                }
+                claimed
+            },
+        );
+        assert_eq!(text, "jobs=4\nutil=0.5\njobs=5\n");
+        assert_eq!(threads.as_deref(), Some("3"));
+    }
 }

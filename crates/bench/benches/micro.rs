@@ -3,7 +3,9 @@
 //!
 //! - `allocate`: Pseudocode 1 over n jobs (the per-event cost of the
 //!   centralized scheduler);
-//! - `event_queue`: push+pop throughput of the simulation engine;
+//! - `event_queue`: push+pop throughput of the simulation engine, over
+//!   spread-out times (the heap tier) and in the decentralized shape
+//!   (1 ms messages over thousands of far-future completions: the ring);
 //! - `episode_decision`: the worker-side protocol pick over a deep queue;
 //! - `pareto_sample`: the straggler-model duration draw.
 
@@ -43,6 +45,38 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// One pop + push in the shape of a decentralized run: 4,096 pending
+/// far-future completions (payloads below `FAR`) and 16 messages in
+/// flight. A popped message sends the next one network hop (1 ms)
+/// ahead; a popped completion is replaced by another 1-100 s out.
+/// Over 99% of the pushes are 1 ms messages.
+fn bench_event_queue_near(c: &mut Criterion) {
+    const FAR: u64 = 4096;
+    const MSGS: u64 = 16;
+    // A pseudo-random far delay, 1-100 s.
+    let far_delay = |i: u64| SimTime::from_millis(1_000 + (i * 7919) % 99_000);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    for i in 0..FAR {
+        q.push(far_delay(i), i);
+    }
+    for i in FAR..FAR + MSGS {
+        q.push_after(SimTime::from_millis(1), i);
+    }
+    let mut next = FAR + MSGS;
+    c.bench_function("event_queue_1ms_msgs_over_4k_far", |b| {
+        b.iter(|| {
+            let (_, e) = q.pop().expect("the queue never drains");
+            let delay = if e >= FAR {
+                SimTime::from_millis(1)
+            } else {
+                far_delay(next)
+            };
+            q.push_after(delay, black_box(e));
+            next += 1;
+        });
+    });
+}
+
 fn bench_episode_decision(c: &mut Criterion) {
     let queue: Vec<Reservation> = (0..100)
         .map(|i| Reservation {
@@ -73,6 +107,7 @@ criterion_group!(
     benches,
     bench_allocate,
     bench_event_queue,
+    bench_event_queue_near,
     bench_episode_decision,
     bench_pareto_sample
 );

@@ -74,7 +74,7 @@ pub struct DecConfig {
     /// long-lived executors shared across jobs (§6.1).
     pub cluster: ClusterConfig,
     /// Number of autonomous schedulers (10 in the paper's deployment, 50
-    /// in its scaling simulations).
+    /// in its scaling simulations). At least 1: both engines panic on 0.
     pub num_schedulers: usize,
     /// Reservations per task (the probe ratio; 2 for Sparrow, 4 for
     /// Hopper, swept in Figures 5a and 11).
@@ -509,6 +509,10 @@ impl<'a> Decentral<'a> {
         cfg: &'a DecConfig,
         retain_jobs: bool,
     ) -> Self {
+        assert!(
+            cfg.num_schedulers >= 1,
+            "DecConfig::num_schedulers must be at least 1, got 0"
+        );
         let seq = SeedSequence::new(cfg.seed);
         let n = arrivals.total_jobs();
         let mut queue = EventQueue::new();
@@ -526,7 +530,7 @@ impl<'a> Decentral<'a> {
         // build (the same contract the dynamics plane honors).
         let faults_on = cfg.faults.enabled();
         let mut sched_chain = (faults_on && cfg.faults.sched_fail_rate_per_hour > 0.0)
-            .then(|| SchedulerChain::new(&cfg.faults, cfg.num_schedulers.max(1), &seq));
+            .then(|| SchedulerChain::new(&cfg.faults, cfg.num_schedulers, &seq));
         if let Some(c) = sched_chain.as_mut() {
             for (at, ev) in c.initial_incidents() {
                 queue.push(at, Ev::SchedDyn(ev));
@@ -559,10 +563,10 @@ impl<'a> Decentral<'a> {
             claimed: vec![std::collections::HashSet::new(); n],
             live_res: vec![0; n],
             candidates: vec![VecDeque::new(); n],
-            owner: (0..n).map(|j| j % cfg.num_schedulers.max(1)).collect(),
-            sched_jobs: vec![Vec::new(); cfg.num_schedulers.max(1)],
+            owner: (0..n).map(|j| j % cfg.num_schedulers).collect(),
+            sched_jobs: vec![Vec::new(); cfg.num_schedulers],
             done_count: 0,
-            beta_est: (0..cfg.num_schedulers.max(1))
+            beta_est: (0..cfg.num_schedulers)
                 .map(|_| BetaEstimator::with_prior(1.5))
                 .collect(),
             scan_armed: false,
@@ -570,8 +574,8 @@ impl<'a> Decentral<'a> {
             dyn_inc: vec![0; cfg.cluster.machines],
             faults: faults_on.then(|| MsgFaults::new(cfg.faults, &seq)),
             sched_chain,
-            sched_up: vec![true; cfg.num_schedulers.max(1)],
-            sched_inc: vec![0; cfg.num_schedulers.max(1)],
+            sched_up: vec![true; cfg.num_schedulers],
+            sched_inc: vec![0; cfg.num_schedulers],
             ep_epoch: vec![0; cfg.cluster.machines],
             rpc_seq: vec![0; cfg.cluster.machines],
             backoff: BackoffPolicy::new(cfg.faults.rpc_timeout_ms, cfg.faults.rpc_retries),
@@ -1227,10 +1231,9 @@ impl<'a> Decentral<'a> {
         // incarnation): the reply is effectively lost — the worker's
         // lease reclaims the promised slot. `owner` is indexed by a
         // message-carried id, but reservations are only ever created for
-        // real jobs, so `job < owner.len()` holds by construction; the
-        // `get` is belt-and-braces for the degenerate 0-scheduler cap.
+        // real jobs, so `job < owner.len()` holds by construction.
         // Never taken while scheduler faults are off (all up, all inc 0).
-        let sched = self.owner.get(job).copied().unwrap_or(0);
+        let sched = self.owner[job];
         if !self.sched_up[sched] || sinc != self.sched_inc[sched] {
             return;
         }
@@ -1399,7 +1402,7 @@ impl<'a> Decentral<'a> {
         // Advertise this scheduler's smallest unsatisfied job (Pseudocode
         // 3's refusal payload): below its virtual size with launchable
         // work.
-        let sched = self.owner.get(job).copied().unwrap_or(0);
+        let sched = self.owner[job];
         let mut best: Option<UnsatisfiedJob> = None;
         // Only this scheduler's own *live* jobs are candidates — walk its
         // live partition (ascending id, the order the old all-jobs scan
@@ -1486,7 +1489,7 @@ impl<'a> Decentral<'a> {
             DecPolicy::Hopper => {
                 // Reservations stay (the job may want Guideline-3 extras
                 // later); the episode just records the refusal.
-                let sched = self.owner.get(job).copied().unwrap_or(0);
+                let sched = self.owner[job];
                 if let Some(ep) = self.workers[worker].episode.as_mut() {
                     ep.record_refusal(sched, job as u64, unsatisfied);
                 }
@@ -2008,6 +2011,16 @@ mod tests {
             assert_eq!(out.jobs.len(), t.len(), "{}", policy.name());
             assert!(out.stats.makespan > SimTime::ZERO);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "num_schedulers must be at least 1")]
+    fn zero_schedulers_are_rejected() {
+        let cfg = DecConfig {
+            num_schedulers: 0,
+            ..small_cfg(1)
+        };
+        run(&trace(1, 5, 0.7), DecPolicy::Hopper, &cfg);
     }
 
     #[test]

@@ -602,8 +602,12 @@ impl<'a> Shard<'a> {
         cfg: &'a DecConfig,
         retain_jobs: bool,
     ) -> Self {
+        assert!(
+            cfg.num_schedulers >= 1,
+            "DecConfig::num_schedulers must be at least 1, got 0"
+        );
         let seq = SeedSequence::new(cfg.seed);
-        let k = cfg.num_schedulers.max(1);
+        let k = cfg.num_schedulers;
         let n = arrivals.total_jobs();
         let nworkers = cfg.cluster.machines;
         let faults_on = cfg.faults.enabled();

@@ -7,6 +7,12 @@
 //! [`SeedSequence`]) so that every experiment is exactly reproducible from a
 //! single `u64` seed.
 //!
+//! The queue keeps two tiers behind that order: per-millisecond FIFO
+//! buckets on a small ring for events due within
+//! [`queue::NEAR_MS`] of the clock (a decentralized run's 1 ms messages),
+//! and a binary heap for the rest (task completions seconds out). See
+//! the [`queue`] module docs.
+//!
 //! The engine is intentionally synchronous and single threaded, in the
 //! spirit of event-driven network stacks (cf. smoltcp): simulation state
 //! machines `poll` events, never block, and never perform hidden I/O.

@@ -172,6 +172,72 @@ proptest! {
         }
     }
 
+    /// Random interleavings of every queue operation match a reference
+    /// model (one plain heap keyed `(time, seq)`) step by step. Delays hit
+    /// both edges of the near tier's ring and the far future, and
+    /// `advance_to` may pass pending events, so the spill path runs too.
+    #[test]
+    fn event_queue_matches_reference_model(
+        ops in prop::collection::vec((0u8..7, 0u8..8, 0u64..100_000), 0..400),
+    ) {
+        use hopper::sim::queue::NEAR_MS;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        for (step, &(op, class, extra)) in ops.iter().enumerate() {
+            let delay = match class {
+                0 => 0,
+                1 => 1,
+                2 => NEAR_MS - 1,
+                3 => NEAR_MS,
+                4 => NEAR_MS + 1,
+                5 => extra % (2 * NEAR_MS),
+                6 => 1_000 + extra,
+                _ => 1_000_000 + extra,
+            };
+            match op {
+                0 | 1 => {
+                    if op == 0 {
+                        q.push(SimTime::from_millis(now + delay), step);
+                    } else {
+                        q.push_after(SimTime::from_millis(delay), step);
+                    }
+                    model.push(Reverse((now + delay, seq, step)));
+                    seq += 1;
+                }
+                2 | 3 => {
+                    let want = model.pop().map(|Reverse((t, _, p))| (SimTime::from_millis(t), p));
+                    prop_assert_eq!(q.pop(), want, "pop at step {}", step);
+                    if let Some((t, _)) = want {
+                        now = t.as_millis();
+                    }
+                }
+                4 => {
+                    let want = model.peek().map(|Reverse((t, _, _))| SimTime::from_millis(*t));
+                    prop_assert_eq!(q.peek_time(), want, "peek_time at step {}", step);
+                }
+                5 => {
+                    prop_assert_eq!(q.len(), model.len(), "len at step {}", step);
+                    prop_assert_eq!(q.is_empty(), model.is_empty());
+                }
+                _ => {
+                    // Mostly short hops; a far one may pass pending events.
+                    let hop = if class < 6 { delay } else { extra % 200 };
+                    now += hop;
+                    q.advance_to(SimTime::from_millis(now));
+                }
+            }
+            prop_assert_eq!(q.now(), SimTime::from_millis(now), "clock at step {}", step);
+            prop_assert_eq!(q.pushed(), seq);
+        }
+        while let Some(Reverse((t, _, p))) = model.pop() {
+            prop_assert_eq!(q.pop(), Some((SimTime::from_millis(t), p)));
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+
     /// Pareto sampler honours its analytic complementary CDF.
     #[test]
     fn pareto_tail_is_correct(shape in 1.1f64..2.5, scale in 0.1f64..10.0, seed in 0u64..50) {

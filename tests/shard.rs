@@ -251,3 +251,13 @@ fn zero_msg_latency_is_rejected_when_sharded() {
     c.msg_latency = hopper::sim::SimTime::ZERO;
     decentral::run(&t, DecPolicy::Hopper, &c);
 }
+
+/// Zero schedulers is a config error, not one scheduler.
+#[test]
+#[should_panic(expected = "num_schedulers must be at least 1")]
+fn zero_schedulers_are_rejected_when_sharded() {
+    let t = trace(1, 5);
+    let mut c = cfg(1, 2);
+    c.num_schedulers = 0;
+    decentral::run(&t, DecPolicy::Hopper, &c);
+}
